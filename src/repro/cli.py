@@ -94,6 +94,8 @@ __all__ = ["main"]
 
 
 def _build_topology(args: argparse.Namespace):
+    from .sim.errors import ConfigurationError
+
     n, depth, seed = args.n, args.depth, args.topology_seed
     avg_degree = getattr(args, "avg_degree", 6.0)
     builders: dict[str, Callable[[], object]] = {
@@ -108,14 +110,18 @@ def _build_topology(args: argparse.Namespace):
         # CSR-native builders: same distributions, flat-array construction;
         # required for million-node topologies (see docs/PERFORMANCE.md).
         "gnp-csr": lambda: topology.gnp_random_csr(
-            n, min(0.9, avg_degree / n), seed=seed
+            n, min(0.9, avg_degree / n), seed=seed,
+            allow_large=getattr(args, "allow_large", False),
         ),
         "layered-csr": lambda: topology.uniform_complete_layered_csr(n, depth),
         "km-layered-csr": lambda: topology.km_hard_layered_csr(n, depth, seed=seed),
     }
     if args.topology not in builders:
         raise SystemExit(f"unknown topology {args.topology!r}; choose from {sorted(builders)}")
-    return builders[args.topology]()
+    try:
+        return builders[args.topology]()
+    except ConfigurationError as exc:
+        raise SystemExit(f"topology failed: {exc}")
 
 
 def _build_algorithm(name: str, net: RadioNetwork) -> object:
@@ -899,7 +905,8 @@ def main(argv: list[str] | None = None) -> int:
                             "large n — see docs/PERFORMANCE.md)")
     p_run.add_argument("--allow-large", action="store_true",
                        help="override the estimated-memory guard for FULL "
-                            "traces / dense metrics at very large n")
+                            "traces / dense metrics / gnp-csr generation at "
+                            "very large n")
     p_run.add_argument("--trace", action="store_true", help="print the channel trace")
     p_run.add_argument("--trace-steps", type=int, default=60)
     p_run.add_argument("--load-network", metavar="FILE",

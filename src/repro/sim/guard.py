@@ -1,4 +1,5 @@
-"""Up-front memory estimates for instrumentation that scales with n·steps.
+"""Up-front memory estimates for instrumentation that scales with n·steps
+and for generated topologies.
 
 A ``TraceLevel.FULL`` trace stores per-slot Python records whose size is
 proportional to the number of (node, slot) events; dense per-node metric
@@ -7,7 +8,8 @@ fine, but at the million-node scale the macro-step path unlocks they OOM
 the process long after the run started — the worst possible failure mode.
 These checks run in the drivers *before* any engine state is allocated and
 raise a :class:`~repro.sim.errors.ConfigurationError` naming the estimated
-footprint and the override, instead of dying mid-run.
+footprint and the override, instead of dying mid-run.  Topology builders
+check their expected array footprint the same way before sampling.
 
 Overrides: pass ``allow_large=True`` to the driver, or set the environment
 variable ``REPRO_ALLOW_LARGE_MEMORY=1`` (useful for CLI runs on big boxes).
@@ -24,7 +26,9 @@ __all__ = [
     "ALLOW_LARGE_ENV",
     "FULL_TRACE_CELL_LIMIT",
     "DENSE_METRICS_CELL_LIMIT",
+    "TOPOLOGY_BYTES_LIMIT",
     "check_memory_budget",
+    "check_topology_budget",
 ]
 
 #: Environment override; any non-empty value other than "0" disables the guard.
@@ -46,6 +50,14 @@ DENSE_METRICS_CELL_LIMIT = 1 << 28
 _TRACE_BYTES_PER_CELL = 8
 
 _METRICS_BYTES_PER_CELL = 8  # one int64 tally per (trial, node)
+
+#: Maximum estimated bytes of a generated topology's arrays: 4 GiB, about
+#: 20x the 10^6-node, average-degree-12 G(n, p) instance (~200 MB).
+TOPOLOGY_BYTES_LIMIT = 1 << 32
+
+#: int64 words per expected edge while a topology is assembled: the
+#: sampled pair and its two CSR entries.
+_TOPOLOGY_WORDS_PER_EDGE = 4
 
 
 def _override_active() -> bool:
@@ -104,3 +116,25 @@ def check_memory_budget(
                 f"Run without a metrics registry, batch fewer trials, or "
                 f"override with allow_large=True (or {ALLOW_LARGE_ENV}=1)."
             )
+
+
+def check_topology_budget(n: int, edges: float, allow_large: bool = False) -> None:
+    """Refuse a topology whose estimated arrays exceed the limit.
+
+    The estimate is ``8 * (n + 4 * edges)`` bytes: one int64 per node and
+    four per expected edge.  Generators call this before sampling.
+
+    Raises:
+        ConfigurationError: With the estimated bytes and both overrides
+            named, when the limit is exceeded and no override is active.
+    """
+    if allow_large or _override_active():
+        return
+    est = 8 * (n + _TOPOLOGY_WORDS_PER_EDGE * edges)
+    if est > TOPOLOGY_BYTES_LIMIT:
+        raise ConfigurationError(
+            f"a topology on n={n} nodes with ~{edges:,.0f} expected edges "
+            f"estimates to {est:,.0f} bytes of arrays (limit "
+            f"{TOPOLOGY_BYTES_LIMIT:,}). Lower n or the degree, or override "
+            f"with allow_large=True (or {ALLOW_LARGE_ENV}=1)."
+        )

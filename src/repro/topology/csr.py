@@ -14,7 +14,8 @@ samples instances *directly into* the flat CSR form the kernels consume:
   recognises :meth:`CSRNetwork.csr_arrays` and adopts the arrays without
   copying).
 * :func:`gnp_random_csr` — G(n, p) via geometric-gap skip sampling over
-  the n(n-1)/2 pair indices: O(E) draws and memory, never O(n^2).
+  the n(n-1)/2 pair indices and sort-free CSR assembly: O(E) draws,
+  time and memory, never O(n^2).
 * :func:`complete_layered_csr` / :func:`uniform_complete_layered_csr` /
   :func:`km_hard_layered_csr` — the layered families of
   :mod:`repro.topology.layered`, built edge-for-edge identically (same
@@ -28,12 +29,14 @@ of builder is purely an execution strategy.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from typing import Sequence
 
 import numpy as np
 
 from ..sim.errors import ConfigurationError
+from ..sim.guard import check_topology_budget
 from ..sim.network import RadioNetwork
 
 __all__ = [
@@ -62,9 +65,13 @@ def _gather_rows(
 def _bfs_depths(
     n: int, indptr: np.ndarray, indices: np.ndarray, source: int = 0
 ) -> np.ndarray:
-    """Frontier BFS over CSR arrays; unreachable nodes keep depth -1."""
+    """Frontier BFS over CSR arrays; unreachable nodes keep depth -1.
+
+    Frontiers are deduplicated through an owner scratch array, not a
+    sort, so the search is O(n + E)."""
     depths = np.full(n, -1, dtype=np.int64)
     depths[source] = 0
+    owner = np.empty(n, dtype=np.int64)
     frontier = np.array([source], dtype=np.int64)
     depth = 0
     while frontier.size:
@@ -72,7 +79,9 @@ def _bfs_depths(
         nbrs = nbrs[depths[nbrs] < 0]
         if nbrs.size == 0:
             break
-        frontier = np.unique(nbrs)
+        slots = np.arange(nbrs.size, dtype=np.int64)
+        owner[nbrs] = slots
+        frontier = nbrs[owner[nbrs] == slots]
         depth += 1
         depths[frontier] = depth
     return depths
@@ -229,16 +238,29 @@ class CSRNetwork:
 # ----------------------------------------------------------------------
 
 
-def _csr_from_edges(n: int, src: np.ndarray, dst: np.ndarray):
-    """Symmetrise ``(src, dst)`` pairs into sorted CSR arrays."""
-    all_src = np.concatenate([src, dst])
-    all_dst = np.concatenate([dst, src])
-    order = np.lexsort((all_dst, all_src))
-    indices = all_dst[order]
-    deg = np.bincount(all_src, minlength=n)
+def _csr_from_pairs(n: int, src: np.ndarray, dst: np.ndarray):
+    """Sorted symmetric CSR arrays of the pairs ``src < dst``, given in
+    lexicographic order (as :func:`_decode_pair_positions` yields them).
+
+    Row ``v`` is the ``src`` of pairs with ``dst == v`` (ascending once
+    grouped stably by ``dst``), then the ``dst`` of pairs with ``src == v``
+    (already contiguous and ascending): degrees give the row offsets and
+    two scatters fill them, in O(n + E) with no comparison sort.
+    """
+    fwd = np.bincount(src, minlength=n)
+    rev = np.bincount(dst, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    return indptr, indices.astype(np.int64, copy=False)
+    np.cumsum(fwd + rev, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    # Pair k of a group starting at pair g lands at row offset + (k - g).
+    slots = np.arange(src.size, dtype=np.int64)
+    indices[slots + np.repeat(indptr[:-1] + rev - (np.cumsum(fwd) - fwd), fwd)] = dst
+    # Stable grouping by dst: LSD radix, two O(E) uint16 counting sorts
+    # (n < 2^32 follows from the 2^53 pair-count limit).
+    order = np.argsort((dst & 0xFFFF).astype(np.uint16), kind="stable")
+    order = order[np.argsort((dst[order] >> 16).astype(np.uint16), kind="stable")]
+    indices[slots + np.repeat(indptr[:-1] - (np.cumsum(rev) - rev), rev)] = src[order]
+    return indptr, indices
 
 
 # ----------------------------------------------------------------------
@@ -277,8 +299,9 @@ def _decode_pair_positions(pos: np.ndarray, n: int):
 
     Pairs are in lexicographic order: position 0 is ``(0, 1)``, the last
     is ``(n-2, n-1)``.  Row ``i`` starts at ``f(i) = i(2n-1-i)/2``; the
-    float64 root is exact to an ulp for any ``n(n-1)/2 < 2^53`` and the
-    integer correction passes absorb the rounding.
+    float64 root is exact to an ulp for any ``n(n-1)/2 < 2^53`` (checked
+    by :func:`gnp_random_csr`) and the integer correction passes absorb
+    the rounding.
     """
     b = 2 * n - 1
 
@@ -305,6 +328,7 @@ def gnp_random_csr(
     connect: str = "augment",
     max_attempts: int = 200,
     r: int | None = None,
+    allow_large: bool = False,
 ) -> CSRNetwork:
     """Sample G(n, p) straight into CSR arrays — O(E) time and memory.
 
@@ -328,7 +352,12 @@ def gnp_random_csr(
             only sensible above the connectivity threshold).
         max_attempts: Retry budget for ``connect="resample"``.
         r: Label bound; defaults to ``n - 1``.
+        allow_large: Skip the expected-footprint guard
+            (:func:`~repro.sim.guard.check_topology_budget`).
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ConfigurationError(f"n must be an integer, got {n!r}")
+    n = int(n)
     if n < 1:
         raise ConfigurationError(f"need n >= 1, got {n}")
     if not 0.0 < p <= 1.0:
@@ -338,20 +367,22 @@ def gnp_random_csr(
             f"unknown connect mode {connect!r}; expected 'augment' or 'resample'"
         )
     num_pairs = n * (n - 1) // 2
+    if num_pairs >= 2**53:
+        raise ConfigurationError(
+            f"n={n} gives n(n-1)/2 >= 2^53 node pairs, past exact pair decoding"
+        )
+    check_topology_budget(n, p * num_pairs, allow_large=allow_large)
     attempts = max_attempts if connect == "resample" else 1
     for attempt in range(attempts):
         rng = np.random.default_rng(seed + attempt)
         pos = _sample_pair_positions(num_pairs, p, rng)
-        src, dst = _decode_pair_positions(pos, n) if pos.size else (
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        )
-        indptr, indices = _csr_from_edges(n, src, dst)
+        src, dst = _decode_pair_positions(pos, n)
+        indptr, indices = _csr_from_pairs(n, src, dst)
         depths = _bfs_depths(n, indptr, indices)
         if int(depths.min()) >= 0:
             return CSRNetwork(indptr, indices, r=r, depths=depths)
         if connect == "augment":
-            src, dst = _augment_to_connected(n, indptr, indices, depths, src, dst, rng)
-            indptr, indices = _csr_from_edges(n, src, dst)
+            indptr, indices = _augment_to_connected(n, indptr, indices, depths, rng)
             depths = _bfs_depths(n, indptr, indices)
             return CSRNetwork(indptr, indices, r=r, depths=depths)
     raise ConfigurationError(
@@ -359,15 +390,15 @@ def gnp_random_csr(
     )
 
 
-def _augment_to_connected(n, indptr, indices, depths, src, dst, rng):
+def _augment_to_connected(n, indptr, indices, depths, rng):
     """One seeded random edge from every stray component into the source
-    component; returns the augmented ``(src, dst)`` edge arrays."""
+    component; returns the augmented CSR arrays."""
     reached = depths >= 0
     source_comp = np.flatnonzero(reached)
     extra_src: list[int] = []
     extra_dst: list[int] = []
     visited = reached.copy()
-    for v in range(n):
+    for v in np.flatnonzero(~reached).tolist():
         if visited[v]:
             continue
         # Collect v's whole component so later members are skipped.
@@ -382,10 +413,19 @@ def _augment_to_connected(n, indptr, indices, depths, src, dst, rng):
             frontier = nbrs
         extra_src.append(int(comp[int(rng.integers(len(comp)))]))
         extra_dst.append(int(source_comp[int(rng.integers(len(source_comp)))]))
-    return (
-        np.concatenate([src, np.array(extra_src, dtype=np.int64)]),
-        np.concatenate([dst, np.array(extra_dst, dtype=np.int64)]),
-    )
+    # Insert both directions of each new edge at its sorted place in its
+    # row; in (row, value) order, which np.insert keeps within one slot.
+    pairs = sorted(zip(extra_src + extra_dst, extra_dst + extra_src))
+    rows, vals = np.array(pairs, dtype=np.int64).T
+    at = [
+        start + int(np.searchsorted(indices[start:stop], x))
+        for start, stop, x in zip(
+            indptr[rows].tolist(), indptr[rows + 1].tolist(), vals.tolist()
+        )
+    ]
+    added = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=added[1:])
+    return indptr + added, np.insert(indices, at, vals)
 
 
 # ----------------------------------------------------------------------

@@ -65,6 +65,14 @@ def test_unknown_topology_rejected():
         main(["run", "--topology", "torus", "--n", "10"])
 
 
+def test_oversized_gnp_csr_rejected_before_sampling(monkeypatch):
+    monkeypatch.delenv("REPRO_ALLOW_LARGE_MEMORY", raising=False)
+    with pytest.raises(SystemExit, match="topology failed: .* bytes"):
+        main(["run", "--topology", "gnp-csr", "--n", "10000000",
+              "--avg-degree", "100", "--algorithm", "kp-known-d",
+              "--engine", "macro"])
+
+
 def test_unknown_algorithm_rejected():
     with pytest.raises(SystemExit):
         main(["run", "--topology", "path", "--n", "10", "--algorithm", "magic"])

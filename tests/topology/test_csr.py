@@ -3,9 +3,14 @@ equivalence with the legacy (dict-of-sets) layered builders."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.sim import guard
 from repro.sim.channel import ChannelKernel
 from repro.sim.errors import ConfigurationError
 from repro.sim.fast import run_broadcast_fast
@@ -20,6 +25,7 @@ from repro.topology import (
     uniform_complete_layered,
     uniform_complete_layered_csr,
 )
+from repro.topology import csr as csr_module
 
 
 def _edge_set(net) -> set[tuple[int, int]]:
@@ -135,3 +141,151 @@ class TestEngineAdoption:
                                    seed=seed)
             assert a.wake_times == b.wake_times
             assert a.time == b.time and a.layer_times == b.layer_times
+
+
+def _legacy_gnp_arrays(n, p, seed, connect="augment", max_attempts=200):
+    """The G(n, p) assembly as first written: a lexsort of both edge
+    directions, an ``np.unique`` frontier BFS, and a full rebuild after
+    augmenting.  Sampling and pair decoding are shared."""
+
+    def csr_from_edges(src, dst):
+        all_src = np.concatenate([src, dst])
+        all_dst = np.concatenate([dst, src])
+        indices = all_dst[np.lexsort((all_dst, all_src))]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(all_src, minlength=n), out=indptr[1:])
+        return indptr, indices.astype(np.int64, copy=False)
+
+    def bfs(indptr, indices):
+        depths = np.full(n, -1, dtype=np.int64)
+        depths[0] = 0
+        frontier, depth = np.array([0], dtype=np.int64), 0
+        while frontier.size:
+            nbrs = csr_module._gather_rows(indptr, indices, frontier)
+            nbrs = nbrs[depths[nbrs] < 0]
+            if nbrs.size == 0:
+                break
+            frontier = np.unique(nbrs)
+            depth += 1
+            depths[frontier] = depth
+        return depths
+
+    def augment(indptr, indices, depths, src, dst, rng):
+        reached = depths >= 0
+        source_comp = np.flatnonzero(reached)
+        extra_src, extra_dst = [], []
+        visited = reached.copy()
+        for v in range(n):
+            if visited[v]:
+                continue
+            comp = [v]
+            visited[v] = True
+            frontier = np.array([v], dtype=np.int64)
+            while frontier.size:
+                nbrs = csr_module._gather_rows(indptr, indices, frontier)
+                nbrs = np.unique(nbrs[~visited[nbrs]])
+                visited[nbrs] = True
+                comp.extend(int(u) for u in nbrs)
+                frontier = nbrs
+            extra_src.append(int(comp[int(rng.integers(len(comp)))]))
+            extra_dst.append(int(source_comp[int(rng.integers(len(source_comp)))]))
+        return (
+            np.concatenate([src, np.array(extra_src, dtype=np.int64)]),
+            np.concatenate([dst, np.array(extra_dst, dtype=np.int64)]),
+        )
+
+    attempts = max_attempts if connect == "resample" else 1
+    for attempt in range(attempts):
+        rng = np.random.default_rng(seed + attempt)
+        pos = csr_module._sample_pair_positions(n * (n - 1) // 2, p, rng)
+        src, dst = csr_module._decode_pair_positions(pos, n)
+        indptr, indices = csr_from_edges(src, dst)
+        depths = bfs(indptr, indices)
+        if int(depths.min()) >= 0:
+            return indptr, indices, depths
+        if connect == "augment":
+            src, dst = augment(indptr, indices, depths, src, dst, rng)
+            indptr, indices = csr_from_edges(src, dst)
+            return indptr, indices, bfs(indptr, indices)
+    return None
+
+
+def _digest(net: CSRNetwork) -> str:
+    return hashlib.sha256(
+        net.indptr.tobytes() + net.indices.tobytes() + net.depths_array().tobytes()
+    ).hexdigest()
+
+
+class TestGeneratorOutputPinned:
+    """``gnp_random_csr`` output is part of every seeded result: these
+    digests of ``indptr || indices || depths`` must never move without a
+    versioned generator."""
+
+    @pytest.mark.parametrize("n, avg_degree, seed, connect, expected", [
+        (100_000, 12, 0, "augment",
+         "f038a10b7c048f230d1ac6c78c0458a512b91651b1d09e91541c9cc569342a31"),
+        (5000, 1.5, 3, "augment",
+         "33f218b04b9e3e7e6d2d3f9f266c749838bf5598f029085475dcdc11db71366f"),
+        (2000, 3, 5, "augment",
+         "6c379a988ad49910b69908de6bd5a3c39caa9a61d7c1a49a15f7a44f568023c5"),
+        # 17 attempts: the first connected draw is seed 17.
+        (2000, 7, 1, "resample",
+         "79191bf197db6a80020c60ef71f85044a976de1fd7cfe46eb404fc6acad28c92"),
+    ])
+    def test_digest(self, n, avg_degree, seed, connect, expected):
+        net = gnp_random_csr(n, avg_degree / n, seed=seed, connect=connect)
+        assert _digest(net) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        avg_degree=st.floats(1.0, 12.0),
+        seed=st.integers(0, 2**16),
+        connect=st.sampled_from(["augment", "resample"]),
+    )
+    def test_matches_legacy_assembly(self, n, avg_degree, seed, connect):
+        p = min(1.0, avg_degree / n)
+        legacy = _legacy_gnp_arrays(n, p, seed, connect, max_attempts=3)
+        if legacy is None:
+            with pytest.raises(ConfigurationError):
+                gnp_random_csr(n, p, seed=seed, connect=connect, max_attempts=3)
+            return
+        net = gnp_random_csr(n, p, seed=seed, connect=connect, max_attempts=3)
+        for new, old in zip((net.indptr, net.indices, net.depths_array()), legacy):
+            assert new.dtype == old.dtype and np.array_equal(new, old)
+
+
+class TestGnpValidation:
+    @pytest.mark.parametrize("n", [10.0, 10.5, "10", True, None])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(ConfigurationError, match="n must be an integer"):
+            gnp_random_csr(n, 0.5)
+
+    def test_numpy_integer_n_accepted(self):
+        assert gnp_random_csr(np.int64(40), 0.3, seed=1).n == 40
+
+    def test_pair_count_past_float_exactness_refused(self):
+        # (2^27 + 1) * 2^27 / 2 = 2^53 + 2^26 pairs; refused before any
+        # allocation, whatever p is.
+        with pytest.raises(ConfigurationError, match="2\\^53"):
+            gnp_random_csr(2**27 + 1, 1e-12, allow_large=True)
+
+    def test_oversized_request_refused_before_sampling(self, monkeypatch):
+        monkeypatch.delenv(guard.ALLOW_LARGE_ENV, raising=False)
+        with pytest.raises(ConfigurationError) as info:
+            gnp_random_csr(10**7, 100 / 10**7)
+        message = str(info.value)
+        assert "bytes" in message and "allow_large=True" in message
+        assert guard.ALLOW_LARGE_ENV in message
+
+    def test_topology_budget_limits_and_overrides(self, monkeypatch):
+        monkeypatch.delenv(guard.ALLOW_LARGE_ENV, raising=False)
+        edges = 100 * 10**7 / 2
+        with pytest.raises(ConfigurationError):
+            guard.check_topology_budget(10**7, edges)
+        guard.check_topology_budget(10**7, edges, allow_large=True)
+        # The 10^6-node, average-degree-12 rung sits far below the limit.
+        guard.check_topology_budget(10**6, 12 * 10**6 / 2)
+        guard.check_topology_budget(10**7, 12 * 10**7 / 2)
+        monkeypatch.setenv(guard.ALLOW_LARGE_ENV, "1")
+        guard.check_topology_budget(10**7, edges)
