@@ -112,17 +112,15 @@ class BGIBroadcast(BroadcastAlgorithm):
         coins,
     ) -> np.ndarray:
         phase, offset = divmod(step, self.phase_len)
-        phase_start = phase * self.phase_len
-        eligible = wake_steps < phase_start
         if self._active_mask is None or self._active_mask.shape != wake_steps.shape:
             self._active_mask = np.zeros(wake_steps.shape, dtype=bool)
         if offset == 0:
             self._active_phase = phase
-            self._active_mask = eligible.copy()
+            self._active_mask = wake_steps < phase * self.phase_len
         elif self._active_phase == phase:
-            # Slot-indexed coins: ANDing into already-inactive rows is a
-            # no-op, so this matches the per-node stateful Decay exactly.
-            self._active_mask &= coins.uniform(step) < 0.5
+            # Slot-indexed coins: thinning only the still-active cells
+            # matches the per-node stateful Decay exactly.
+            coins.thin(self._active_mask, step, 0.5)
         else:  # run started mid-phase (step offset != 0): stay silent
             self._active_mask[:] = False
         return self._active_mask.copy()

@@ -109,9 +109,11 @@ class Histogram:
         if array.size == 0:
             return
         array = array.ravel()
-        indices = np.searchsorted(self.edges, array, side="left")
-        for index, count in zip(*np.unique(indices, return_counts=True)):
-            self.counts[int(index)] += int(count)
+        per_bucket = np.bincount(
+            np.searchsorted(self.edges, array, side="left"), minlength=len(self.counts)
+        ).tolist()
+        for index in np.flatnonzero(per_bucket).tolist():
+            self.counts[index] += per_bucket[index]
         self.total += int(array.size)
         self.sum += float(array.sum())
         low, high = float(array.min()), float(array.max())

@@ -9,12 +9,15 @@ flat CSR arrays so the two fast families share one kernel:
 
 * :class:`~repro.sim.event.EventDrivenEngine` calls :meth:`ChannelKernel.
   resolve` with the (typically tiny) set of transmitter indices — a
-  neighbour-slice gather plus one ``np.bincount``.
-* :class:`~repro.sim.fast.FastEngine` and
-  :class:`~repro.sim.fast.BatchedFastEngine` use the
-  :attr:`ChannelKernel.adjacency` / :attr:`ChannelKernel.adjacency_t`
-  scipy matrices built from the same arrays, resolving the whole (or the
-  whole batch of) transmit mask(s) with one sparse product.
+  neighbour-slice gather (:meth:`ChannelKernel.gather`) plus one
+  ``np.bincount``.
+* :class:`~repro.sim.fast.BatchedFastEngine` calls
+  :meth:`ChannelKernel.hit_counts` with its ``(trials, n)`` transmit
+  mask: the same gather over every trial's transmitters while they are
+  sparse, one product with the scipy :attr:`ChannelKernel.adjacency_t`
+  matrix once they are dense.
+* :class:`~repro.sim.fast.FastEngine` resolves its ``(n,)`` mask with one
+  product with :attr:`ChannelKernel.adjacency`.
 
 Node *indices* are positions in the sorted label array
 (:attr:`ChannelKernel.labels`), the same convention ``sim/fast.py`` has
@@ -28,6 +31,15 @@ import numpy as np
 from .network import RadioNetwork
 
 __all__ = ["ChannelKernel"]
+
+#: Transmitting share of the ``(trials, n)`` cells below which
+#: :meth:`ChannelKernel.hit_counts` gathers the transmitters' edges
+#: instead of multiplying by the whole adjacency.  Results never depend
+#: on it; it trades the gather's per-edge cost (and its temporaries,
+#: which grow with the share) against the product's cost of every edge.
+_GATHER_DENSITY = 1 / 16
+#: Row count below which :meth:`ChannelKernel.gather` slices row by row.
+_SLICE_GATHER_ROWS = 8
 
 
 class _IdentityIndex:
@@ -102,6 +114,7 @@ class ChannelKernel:
         self._sender_buf = np.empty(self.n, dtype=np.int64)
         self._adjacency = None
         self._adjacency_t = None
+        self._mask_buf: np.ndarray | None = None  # hit_counts' int32 (n, trials)
 
     # -- sparse-matrix views (the fast engines' form of the kernel) --------
 
@@ -132,7 +145,61 @@ class ChannelKernel:
             self._adjacency_t = self.adjacency.T.tocsr()
         return self._adjacency_t
 
-    # -- sparse-transmitter resolution (the event engine's form) -----------
+    # -- transmitter gathers -----------------------------------------------
+
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbour lists of ``rows``, concatenated in order.
+
+        Returns ``(cat, lengths)``: ``cat`` is a fresh array equal to
+        ``np.concatenate([indices[indptr[v]:indptr[v + 1]] for v in
+        rows])`` and ``lengths[i]`` is row ``i``'s degree.  Beyond a few
+        rows it is one vectorised range gather, with no Python-level work
+        per row.
+        """
+        indptr = self.indptr
+        starts = indptr[rows]
+        lengths = indptr[rows + 1] - starts
+        if len(rows) < _SLICE_GATHER_ROWS:
+            # A few rows: slicing beats the vectorised gather's set-up.
+            indices = self.indices
+            return np.concatenate(
+                [indices[a:a + k] for a, k in zip(starts.tolist(), lengths.tolist())]
+                or [indices[:0]]
+            ), lengths
+        ends = np.cumsum(lengths)
+        total = int(ends[-1]) if ends.size else 0
+        pos = np.arange(total, dtype=np.int64)
+        pos += np.repeat(starts - (ends - lengths), lengths)
+        return self.indices[pos], lengths
+
+    def hit_counts(self, mask: np.ndarray, live: int | None = None) -> np.ndarray:
+        """Transmitting in-neighbours per node of a ``(trials, n)`` mask.
+
+        ``hits[t, v]`` counts the transmitters of trial ``t`` that reach
+        ``v``.  While fewer than ``_GATHER_DENSITY`` of the cells
+        transmit, the transmitters' neighbour lists are gathered into one
+        ``np.bincount`` (cost: their out-edges); otherwise the mask is
+        multiplied by :attr:`adjacency_t` (cost: every edge, per trial).
+        Both give the same counts.  ``live`` is ``np.count_nonzero(mask)``
+        when the caller already has it.
+        """
+        trials, n = mask.shape
+        if live is None:
+            live = np.count_nonzero(mask)
+        if live < _GATHER_DENSITY * mask.size:
+            flat = mask.reshape(-1).nonzero()[0]
+            nodes = flat % n
+            cat, lengths = self.gather(nodes)
+            cells = np.repeat(flat - nodes, lengths)  # trial * n, per edge
+            cells += cat
+            return np.bincount(cells, minlength=mask.size).reshape(trials, n)
+        buf = self._mask_buf
+        if buf is None or buf.shape != (n, trials):
+            buf = self._mask_buf = np.empty((n, trials), dtype=np.int32)
+        buf[:] = mask.T  # in-place bool -> int32 cast, no allocation
+        # (adj^T @ mask^T)^T: sparse-first keeps scipy on its fast CSR
+        # path for every trial count.
+        return (self.adjacency_t @ buf).T
 
     def resolve(self, tx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Resolve one slot for a sparse set of transmitters.
@@ -150,17 +217,13 @@ class ChannelKernel:
             once per hit, so callers can restrict their scans to the
             reached part of the network instead of all ``n`` nodes.
         """
-        indptr, indices = self.indptr, self.indices
         sender_of = self._sender_buf
         if len(tx) == 1:
             t = int(tx[0])
-            cat = indices[indptr[t]:indptr[t + 1]]
+            cat = self.indices[self.indptr[t]:self.indptr[t + 1]]
             sender_of[cat] = t
         else:
-            cat = np.concatenate(
-                [indices[indptr[t]:indptr[t + 1]] for t in tx]
-            )
-            lengths = indptr[tx + 1] - indptr[tx]
+            cat, lengths = self.gather(tx)
             sender_of[cat] = np.repeat(tx, lengths)
         hits = np.bincount(cat, minlength=self.n)
         return hits, sender_of, cat

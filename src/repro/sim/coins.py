@@ -30,6 +30,7 @@ same per-trial executions.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Sequence
 
@@ -55,6 +56,15 @@ _PHI = 0x9E3779B97F4A7C15  # splitmix64 golden-ratio increment
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _STEP_SALT = 0xD6E8FEB86659FD93
+# numpy scalars of the constants the vectorised paths use every slot.
+_U_PHI = np.uint64(_PHI)
+_U_MIX1 = np.uint64(_MIX1)
+_U_MIX2 = np.uint64(_MIX2)
+_U11, _U27, _U30, _U31 = (np.uint64(k) for k in (11, 27, 30, 31))
+#: Share of live cells above which :meth:`CoinSource.thin` hashes the
+#: whole key array rather than gathering the live keys.  Results never
+#: depend on it.
+_THIN_DENSE_SHARE = 0.5
 
 
 def _mix64(z: int) -> int:
@@ -67,11 +77,11 @@ def _mix64(z: int) -> int:
 
 def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     """Vectorised splitmix64 finalizer.  Mutates and returns ``z`` (uint64)."""
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    z ^= z >> _U30
+    z *= _U_MIX1
+    z ^= z >> _U27
+    z *= _U_MIX2
+    z ^= z >> _U31
     return z
 
 
@@ -89,13 +99,38 @@ def node_key(seed: int, label: int) -> int:
 
 def _node_keys(seed: int, labels: np.ndarray) -> np.ndarray:
     """Vectorised :func:`node_key` over a label array -> uint64 keys."""
-    z = labels.astype(np.uint64) * np.uint64(_PHI)
+    z = labels.astype(np.uint64) * _U_PHI
     z ^= np.uint64(_mix64(seed + _PHI))
     return _mix64_inplace(z)
 
 
 def _step_salt(step: int) -> int:
     return (int(step) & _MASK64) * _STEP_SALT & _MASK64
+
+
+def _salt64(step: int) -> np.uint64:
+    return np.uint64(_step_salt(step))
+
+
+def _coin_bound(p: float) -> np.uint64:
+    """The integer ``b`` with ``coin < p`` iff ``mixed < b``, for ``0 <= p < 1``.
+
+    A coin is ``(mixed >> 11) * 2**-53`` with ``mixed >> 11`` an integer
+    below ``2**53``, and scaling by a power of two is exact, so
+    ``coin < p`` iff ``mixed >> 11 < ceil(p * 2**53)`` iff
+    ``mixed < ceil(p * 2**53) << 11`` — a comparison of the mixed keys
+    that skips the float conversion.
+    """
+    return np.uint64(math.ceil(p * 2.0**53) << 11)
+
+
+def _coins_of(z: np.ndarray) -> np.ndarray:
+    """Coins in [0, 1) from salted keys ``z`` (a private copy; mutated)."""
+    _mix64_inplace(z)
+    z >>= _U11
+    out = z.astype(np.float64)
+    out *= 2.0**-53
+    return out
 
 
 def coin_uniform(seed: int, label: int, step: int) -> float:
@@ -175,32 +210,61 @@ class CoinSource:
 
     def uniform(self, step: int) -> np.ndarray:
         """Coins of slot ``step`` as float64 in [0, 1), shaped like the keys."""
-        z = self._keys ^ np.uint64(_step_salt(step))
-        _mix64_inplace(z)
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return _coins_of(self._keys ^ _salt64(step))
 
     def uniform_at(self, step: int, idx: np.ndarray) -> np.ndarray:
-        """Coins of slot ``step`` for the node indices ``idx`` only.
+        """Coins of slot ``step`` for the *flat* key indices ``idx`` only.
 
-        ``uniform_at(step, idx)`` equals ``uniform(step)[idx]`` element by
-        element (each coin is a pure function of its own key) but costs
-        ``O(len(idx))`` rather than ``O(n)`` — the macro-step engine uses
-        it to flip coins only for the currently eligible nodes.  Only
-        defined for single-run ``(n,)`` key arrays.
+        ``uniform_at(step, idx)`` equals ``uniform(step).ravel()[idx]``
+        element by element (each coin is a pure function of its own key)
+        but costs ``O(len(idx))`` rather than the size of the key array.
+        For ``(n,)`` keys a flat index is a node index; for
+        ``(trials, n)`` keys it is ``trial * n + node``.
         """
-        z = self._keys[idx] ^ np.uint64(_step_salt(step))  # fancy index copies
-        _mix64_inplace(z)
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        z = self._keys.take(idx)
+        z ^= _salt64(step)
+        return _coins_of(z)
 
-    def uniform_keys(self, step: int, keys_sub: np.ndarray) -> np.ndarray:
-        """Coins of slot ``step`` for a pre-gathered key subset.
+    def keys_below(self, step: int, keys_sub: np.ndarray, p: float) -> np.ndarray:
+        """``coins < p`` in slot ``step`` for a pre-gathered key subset.
 
-        ``uniform_keys(step, keys[idx])`` equals ``uniform_at(step, idx)``;
-        callers that flip coins for the same node subset over many
-        consecutive slots (the macro-step engine, whose eligible set is
-        constant within a KP stage) gather the keys once and amortise the
-        fancy-index copy across the run of slots.
+        Equals ``uniform_at(step, idx) < p`` for ``keys_sub = keys[idx]``
+        and ``0 <= p < 1``, compared as integers (:func:`_coin_bound`)
+        without converting coins to floats.  Callers that flip coins for
+        the same node subset over many consecutive slots (the macro-step
+        engine, whose eligible set is constant within a KP stage) gather
+        the keys once and amortise the fancy-index copy across the run of
+        slots.
         """
-        z = keys_sub ^ np.uint64(_step_salt(step))
-        _mix64_inplace(z)
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return _mix64_inplace(keys_sub ^ _salt64(step)) < _coin_bound(p)
+
+    def thin(self, mask: np.ndarray, step: int, p: float) -> np.ndarray:
+        """Clear each ``True`` cell of ``mask`` whose slot-``step`` coin is
+        ``>= p``, in place; returns ``mask``.
+
+        The one transmit-coin rule of the vectorised schedules: the result
+        equals ``mask & (uniform(step) < p)`` exactly, but coins are
+        flipped only at the ``True`` cells, so a slot costs the live set
+        rather than the whole ``(n,)`` or ``(trials, n)`` key array (a
+        slot with no live cell hashes nothing), and they are compared as
+        integers (:meth:`keys_below`).  ``mask`` must be a C-contiguous
+        boolean array shaped like the keys.
+        """
+        if mask.shape != self._keys.shape or not mask.flags.c_contiguous:
+            raise ValueError(
+                f"thin() needs a C-contiguous mask of shape {self._keys.shape}, "
+                f"got {mask.shape}"
+            )
+        if not p > 0.0:  # NaN included: no coin is below it
+            mask[...] = False
+            return mask
+        if p >= 1.0:  # every coin is below 1
+            return mask
+        live = np.count_nonzero(mask)
+        if live > _THIN_DENSE_SHARE * mask.size:
+            mask &= self.keys_below(step, self._keys, p)
+        elif live:
+            flat = mask.reshape(-1)  # a view: the mask is C-contiguous
+            idx = flat.nonzero()[0]
+            flat[idx] = self.keys_below(step, self._keys.take(idx), p)
+        return mask

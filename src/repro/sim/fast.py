@@ -12,9 +12,10 @@ Two engines live here:
 
 * :class:`FastEngine` — one run, per-node state vectors of shape ``(n,)``.
 * :class:`BatchedFastEngine` — ``T`` independent Monte-Carlo trials at
-  once, state lifted to ``(T, n)``; one sparse product per slot resolves
-  the channel for *every* trial simultaneously.  This is the workhorse of
-  :func:`run_broadcast_batch` and the sweep runner.
+  once, state lifted to ``(T, n)``; one gather over the transmitters'
+  edges (one sparse product, once transmitters are dense) per slot
+  resolves the channel for *every* trial simultaneously.  This is the
+  workhorse of :func:`run_broadcast_batch` and the sweep runner.
 
 *Adaptive* algorithms — the paper's token algorithms, whose decisions do
 depend on message contents — cannot be vectorised this way, but they have
@@ -22,7 +23,8 @@ their own fast path: the event-driven engine in :mod:`repro.sim.event`,
 driven by ``Protocol.quiet_until`` idle hints.  Both engine families
 resolve the channel from the same precompiled topology,
 :class:`repro.sim.channel.ChannelKernel` — this module uses its sparse
-``adjacency`` views, the event engine its CSR neighbour arrays.
+``adjacency`` views and its batched hit counts, the event engine its CSR
+neighbour gather.
 
 Semantics are identical to :class:`repro.sim.engine.SynchronousEngine`
 (verified per-node, per-slot by ``tests/sim/test_differential.py``):
@@ -103,9 +105,11 @@ class VectorizedAlgorithm(TypingProtocol):
                 sleepers — the engine masks them out — but must not let
                 them influence other nodes.
             r: Public label bound.
-            coins: Slot-indexed coin flips; ``coins.uniform(step)`` has
-                the same shape as ``wake_steps``.  Deterministic schedules
-                never touch it.
+            coins: Slot-indexed coin flips, keyed like ``wake_steps``;
+                ``coins.thin(mask, step, p)`` keeps each ``True`` cell of
+                ``mask`` with its coin's probability ``p``, flipping coins
+                at those cells only.  Deterministic schedules never touch
+                it.
 
         Returns:
             Boolean array broadcastable to ``wake_steps.shape``: True where
@@ -386,8 +390,10 @@ class FastEngine:
 class BatchedFastEngine:
     """Array-based engine running ``T`` independent trials in lock-step.
 
-    Per-node state is lifted to shape ``(trials, n)``; one sparse product
-    per slot resolves the channel of every trial at once.  Trial ``t``
+    Per-node state is lifted to shape ``(trials, n)``; one
+    :meth:`~repro.sim.channel.ChannelKernel.hit_counts` call per slot
+    resolves the channel of every trial at once, at the cost of the
+    transmitters' edges while they are sparse.  Trial ``t``
     executes *exactly* the run that ``FastEngine(network, algorithm,
     seeds[t])`` would — same coin flips, same wake slots — because coins
     are slot-indexed per ``(seed, label)`` and carry no cross-trial state.
@@ -432,11 +438,9 @@ class BatchedFastEngine:
         self.seeds = [int(s) for s in seeds]
         self.trials = len(self.seeds)
         kernel = ChannelKernel(network)
+        self._kernel = kernel
         self.labels = kernel.labels
         self._index = kernel.index
-        # (T, n) @ (n, n) as (adj^T @ mask^T)^T: sparse-first keeps scipy on
-        # its fast CSR path for every trial count.
-        self._adjacency_t = kernel.adjacency_t
         self.coins = CoinSource.for_batch(self.seeds, self.labels)
         self._traces: list[Trace] | None = None
         self._trace_full = trace_level is TraceLevel.FULL
@@ -451,10 +455,11 @@ class BatchedFastEngine:
                 self._trace_weights = np.arange(network.n, dtype=np.int64) + 1
         self.wake_steps = np.full((self.trials, network.n), ASLEEP, dtype=np.int64)
         self.wake_steps[:, self._index[network.source]] = -1
-        # Hot-loop scratch buffers (see FastEngine): per-slot int32
-        # transmit matrix and boolean collision temporaries, written in
-        # place instead of freshly allocated every slot.
-        self._mask_i32 = np.empty((network.n, self.trials), dtype=np.int32)
+        # ``wake_steps != ASLEEP``, kept up to date by run_step.
+        self._awake = self.wake_steps != ASLEEP
+        # Hot-loop scratch buffers (see FastEngine): boolean collision
+        # temporaries, written in place instead of freshly allocated
+        # every slot.
         self._coll_buf = np.empty((self.trials, network.n), dtype=bool)
         self._not_tx_buf = np.empty((self.trials, network.n), dtype=bool)
         self.step = 0
@@ -501,24 +506,26 @@ class BatchedFastEngine:
 
     @property
     def awake(self) -> np.ndarray:
-        """Boolean ``(trials, n)`` mask of informed nodes."""
-        return self.wake_steps != ASLEEP
+        """Boolean ``(trials, n)`` mask of informed nodes (read-only)."""
+        view = self._awake.view()
+        view.flags.writeable = False
+        return view
 
     @property
     def trials_informed(self) -> np.ndarray:
         """Boolean ``(trials,)`` vector: which trials have completed."""
-        return self.awake.all(axis=1)
+        return self._awake.all(axis=1)
 
     @property
     def all_informed(self) -> bool:
         """Whether *every* trial has informed every node."""
-        return bool(self.awake.all())
+        return bool(self._awake.all())
 
     @property
     def trials_settled(self) -> np.ndarray:
         """Boolean ``(trials,)`` vector: no further wake possible per trial."""
         cf = self._cf
-        awake = self.awake
+        awake = self._awake
         if cf is None or not cf.has_crashes:
             return awake.all(axis=1)
         return (awake | (cf.crash_slots <= self.step)).all(axis=1)
@@ -526,16 +533,19 @@ class BatchedFastEngine:
     @property
     def all_settled(self) -> bool:
         """Every trial informed everyone or lost them to crashes."""
+        cf = self._cf
+        if cf is None or not cf.has_crashes:
+            return bool(self._awake.all())
         return bool(self.trials_settled.all())
 
     def informed_counts(self) -> np.ndarray:
         """``(trials,)`` vector of informed-node counts."""
-        return self.awake.sum(axis=1)
+        return self._awake.sum(axis=1)
 
     def run_step(self) -> np.ndarray:
         """Execute one slot across all trials; returns the ``(T, n)`` mask."""
         step = self.step
-        awake = self.awake
+        awake = self._awake
         cf = self._cf
         timings = self.timings
         t_start = perf_counter() if timings is not None else 0.0
@@ -573,16 +583,20 @@ class BatchedFastEngine:
         if timings is not None:
             t_coins = perf_counter()
             timings.add("engine.coins", t_coins - t_start)
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), awake.shape) & awake
+        mask = np.logical_and(mask, awake)
+        if mask.shape != awake.shape:
+            raise ConfigurationError(
+                f"transmit mask of shape {mask.shape} does not broadcast to "
+                f"the batch's {awake.shape}"
+            )
         if alive is not None:
-            mask = mask & alive  # crashed nodes are silent forever
+            mask &= alive  # crashed nodes are silent forever
         collisions = None
         newly = rec_deliver = trace_colls = sender_sums = None
-        any_tx = bool(mask.any())
+        live = int(np.count_nonzero(mask))
+        any_tx = live > 0
         if any_tx:
-            mask_i32 = self._mask_i32
-            mask_i32[:] = mask.T  # in-place bool -> int32 cast, no allocation
-            hits = (self._adjacency_t @ mask_i32).T
+            hits = self._kernel.hit_counts(mask, live)
             if self.metrics is not None:
                 coll = np.greater_equal(hits, 2, out=self._coll_buf)
                 coll &= np.logical_not(mask, out=self._not_tx_buf)
@@ -592,7 +606,7 @@ class BatchedFastEngine:
                 if alive is not None:
                     trace_colls = trace_colls & alive
                 sender_sums = (
-                    self._adjacency_t @ (mask * self._trace_weights).T
+                    self._kernel.adjacency_t @ (mask * self._trace_weights).T
                 ).T
             if cf is None:
                 newly = (~awake) & (hits == 1)
@@ -628,6 +642,7 @@ class BatchedFastEngine:
                 if timings is not None:
                     timings.add("engine.faults", perf_counter() - t_faults)
             self.wake_steps[newly] = step
+            awake |= newly
         if timings is not None:
             t_end = perf_counter()
             timings.add("engine.channel", t_end - t_coins)
@@ -638,8 +653,12 @@ class BatchedFastEngine:
             n_active = int(m_active.sum())
             self._slots_counter.inc(n_active)
             self._active_gauge.set(n_active)
-            active_mask = mask & m_active[:, None]
-            self._tx_counter.inc(int(active_mask.sum()))
+            if n_active == self.trials:
+                active_mask, active_tx = mask, live
+            else:
+                active_mask = mask & m_active[:, None]
+                active_tx = int(active_mask.sum())
+            self._tx_counter.inc(active_tx)
             self._tx_counts += active_mask
             # Collision observations are buffered and flushed once per
             # run (see flush_metrics); a silent slot is n_active zeros.
@@ -660,7 +679,7 @@ class BatchedFastEngine:
     ) -> None:
         """Append slot ``step`` to every still-active trial's trace."""
         labels = self.labels
-        counts = self.awake.sum(axis=1)
+        counts = self._awake.sum(axis=1)
         full = self._trace_full
         for t in np.flatnonzero(rec_active):
             trace = self._traces[t]
@@ -762,7 +781,7 @@ class BatchedFastEngine:
     def completion_times(self) -> list[int | None]:
         """Per-trial broadcasting times; ``None`` for incomplete trials."""
         done = self.trials_informed
-        latest = self.wake_steps.max(axis=1, initial=-1, where=self.awake)
+        latest = self.wake_steps.max(axis=1, initial=-1, where=self._awake)
         return [
             int(latest[t]) + 1 if done[t] else None for t in range(self.trials)
         ]
@@ -992,8 +1011,14 @@ def run_broadcast_batch(
             timings=timings,
         )
         if metrics is not None:
-            _record_result_metrics(metrics, result, engine.transmission_counts(t))
+            _record_result_metrics(metrics, result)
         results.append(result)
+    if metrics is not None:
+        # Every trial's per-node tallies in one observation: a histogram
+        # does not depend on how its observations are grouped.
+        metrics.histogram("transmissions_per_node", COUNT_BUCKETS).observe_many(
+            engine._tx_counts
+        )
     return results
 
 

@@ -22,7 +22,7 @@ removes both:
   product, the engine keeps the awake set as a wake-ordered index list:
   the eligible set of a slot is a binary-searched *prefix*, coins are
   flipped only for eligible nodes
-  (:meth:`~repro.sim.coins.CoinSource.uniform_at` — bit-identical to the
+  (:meth:`~repro.sim.coins.CoinSource.keys_below` — bit-identical to the
   dense flips), and the channel is resolved by gathering only the
   transmitters' CSR neighbour lists: O(sum deg(tx)) instead of O(E).
 
@@ -178,7 +178,7 @@ class _PlanAdaptedAlgorithm:
         eligible = wake_steps < plan.elig[j]
         if p >= 1.0:
             return eligible
-        return eligible & (coins.uniform(step) < p)
+        return coins.thin(eligible, step, p)
 
 
 class MacroStepEngine:
@@ -367,8 +367,7 @@ class MacroStepEngine:
                 if p >= 1.0:
                     tx = cached_cand
                 else:
-                    flips = self.coins.uniform_keys(step, cached_keys)
-                    tx = cached_cand[flips < p]
+                    tx = cached_cand[self.coins.keys_below(step, cached_keys, p)]
             if tx is not None and tx.size:
                 self._resolve_and_wake(tx, step)
         return executed
@@ -429,19 +428,11 @@ class MacroStepEngine:
 
     def _resolve_and_wake(self, tx: np.ndarray, step: int) -> None:
         """Exactly-one resolution over the transmitters' neighbour lists."""
-        indptr, indices = self.kernel.indptr, self.kernel.indices
         if tx.size == 1:
             t = int(tx[0])
-            cat = indices[indptr[t]:indptr[t + 1]]
+            cat = self.kernel.indices[self.kernel.indptr[t]:self.kernel.indptr[t + 1]]
         else:
-            starts = indptr[tx]
-            lengths = indptr[tx + 1] - starts
-            total = int(lengths.sum())
-            if total == 0:
-                return
-            cum = np.cumsum(lengths) - lengths
-            pos = np.arange(total, dtype=np.int64) + np.repeat(starts - cum, lengths)
-            cat = indices[pos]
+            cat = self.kernel.gather(tx)[0]
         if cat.size == 0:
             return
         wake = self.wake_steps
@@ -472,17 +463,12 @@ class MacroStepEngine:
         """
         if self._sleeper_sync == self._awake_count:
             return
-        indptr, indices = self.kernel.indptr, self.kernel.indices
         s = self._asleep_idx
         s = s[self.wake_steps[s] == ASLEEP]
         self._asleep_idx = s
-        starts = indptr[s]
-        lengths = indptr[s + 1] - starts
-        total = int(lengths.sum())
-        cum = np.cumsum(lengths) - lengths
-        pos = np.arange(total, dtype=np.int64) + np.repeat(starts - cum, lengths)
-        self._sleeper_cum = cum
-        self._sleeper_cat = indices[pos]
+        cat, lengths = self.kernel.gather(s)
+        self._sleeper_cum = np.cumsum(lengths) - lengths
+        self._sleeper_cat = cat
         self._sleeper_keys = self.coins._keys[self._sleeper_cat]
         self._sleeper_elig_cache = (None, None)
         self._sleeper_sync = self._awake_count
@@ -507,9 +493,7 @@ class MacroStepEngine:
         if p >= 1.0:
             vt = cached_mask
         else:
-            vt = cached_mask & (
-                self.coins.uniform_keys(step, self._sleeper_keys) < p
-            )
+            vt = cached_mask & self.coins.keys_below(step, self._sleeper_keys, p)
         counts = np.add.reduceat(vt.astype(np.int64), self._sleeper_cum)
         newly = s[counts == 1]
         if newly.size:

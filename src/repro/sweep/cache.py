@@ -16,12 +16,19 @@ import pathlib
 
 from .spec import SweepPoint, canonical_json
 
-__all__ = ["CODE_VERSION", "DEFAULT_CACHE_DIR", "ResultCache"]
+__all__ = ["CODE_FINGERPRINT", "CODE_VERSION", "DEFAULT_CACHE_DIR", "ResultCache"]
 
 #: Version tag of the execution semantics.  Bump whenever an engine or
 #: algorithm change alters what a (point, seed) pair computes — cached
 #: results from older semantics must never be served as current.
 CODE_VERSION = "batched-coins-1"
+
+#: SHA-256 of the wake times and fault counters that the engines compute
+#: under :data:`CODE_VERSION` for a small canonical matrix (KP and BGI
+#: Decay, batched and single-run engines, with and without a fault plan;
+#: see ``tests/sweep/test_cache_fingerprint.py``, which recomputes it).
+#: Re-pin it only together with a :data:`CODE_VERSION` bump.
+CODE_FINGERPRINT = "91742644ec06634e00473e963f9ed3a06ed5f6c9d2988584911f0ed0d2774cc5"
 
 #: Default cache location, relative to the repository root / CWD.
 DEFAULT_CACHE_DIR = pathlib.Path("benchmarks") / "results" / "sweep-cache"

@@ -507,16 +507,59 @@ def _run_pool(
                 clear_inflight(index)
                 handle_failure(index, message[2], message[3])
     finally:
-        if telemetry is not None:
-            telemetry.drain()
-        for process in processes:
-            process.kill()
-        for process in processes:
-            process.join(timeout=5.0)
+        # After a clean finish the workers are idle: stop them, so their
+        # telemetry still buffered in queue feeder threads is flushed.
+        # Otherwise (an exception) they may be mid-point: kill at once.
+        _stop_workers(
+            processes, task_queue, telemetry,
+            grace=0.0 if remaining else _STOP_GRACE_S,
+        )
         for q in (task_queue, result_queue):
             q.close()
             q.cancel_join_thread()
     return failed
+
+
+#: Seconds a stopping pool waits for its workers to exit by themselves.
+_STOP_GRACE_S = 5.0
+
+
+def _stop_workers(processes, task_queue, telemetry: TelemetryHub | None,
+                  grace: float) -> None:
+    """Stop the pool's workers without losing their telemetry.
+
+    A worker reports ``done`` on the result queue, but the spans it
+    emitted just before may still sit in the feeder thread of its bus
+    queue; killing it then would lose them.  So each worker is sent the
+    stop sentinel and given ``grace`` seconds to exit: a process that
+    exits normally first flushes its queue buffers.  The bus is drained
+    while waiting (a feeder blocked on a full pipe needs the reader to
+    make progress), workers still alive at the deadline are killed, and
+    the final drain waits a bounded time for anything still in flight.
+    """
+    try:  # duplicates left by stall rescue: not worth running now
+        while True:
+            task_queue.get_nowait()
+    except queue_module.Empty:
+        pass
+    for _ in processes:
+        task_queue.put(None)
+    deadline = time.monotonic() + grace
+    for process in processes:
+        while process.is_alive() and time.monotonic() < deadline:
+            if telemetry is not None:
+                telemetry.drain()
+            process.join(timeout=0.01)
+    for process in processes:
+        if process.is_alive():
+            process.kill()
+        process.join(timeout=5.0)
+    if telemetry is not None:
+        telemetry.drain(timeout=_FINAL_DRAIN_S)
+
+
+#: Longest wait of the pool's final telemetry drain for queued events.
+_FINAL_DRAIN_S = 0.05
 
 
 def _execute_serial(

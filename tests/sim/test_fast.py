@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.baselines.round_robin import RoundRobinBroadcast
 from repro.baselines.selective_schedule import SelectiveFamilyBroadcast
 from repro.sim.errors import ConfigurationError
-from repro.sim.fast import ASLEEP, FastEngine, run_broadcast_fast
+from repro.sim.fast import ASLEEP, BatchedFastEngine, FastEngine, run_broadcast_fast
 from repro.sim.network import RadioNetwork
 from repro.sim.run import run_broadcast
 from repro.topology import gnp_connected, grid, path, star, uniform_complete_layered
@@ -143,3 +143,13 @@ def test_cross_engine_property_random_trees(n, seed):
     net = RadioNetwork.undirected(range(n), edges)
     algo = RoundRobinBroadcast(net.r)
     assert run_broadcast(net, algo).time == run_broadcast_fast(net, algo).time
+
+
+def test_batched_engine_rejects_a_mask_that_does_not_fit_the_batch():
+    class ExtraAxis(_MaskSchedule):
+        def transmit_mask(self, step, labels, wake_steps, r, rng):
+            return np.ones((2, *wake_steps.shape), dtype=bool)
+
+    engine = BatchedFastEngine(star(4), ExtraAxis({}), seeds=[0, 1])
+    with pytest.raises(ConfigurationError, match="does not broadcast"):
+        engine.run_step()
