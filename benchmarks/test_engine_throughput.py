@@ -95,13 +95,13 @@ def test_batched_vs_serial_repeat_broadcast(table_reporter):
 
 def test_fast_engine_setup_cost(benchmark):
     """Adjacency build + first slot: the fixed cost per run."""
-    from repro.sim.fast import FastEngine
+    from repro.sim.fast import BatchedFastEngine
 
     net = km_hard_layered(2048, 128, seed=3)
     algo = RoundRobinBroadcast(net.r)
 
     def setup_and_step():
-        engine = FastEngine(net, algo, seed=0)
+        engine = BatchedFastEngine(net, algo, seeds=[0])
         engine.run_step()
         return engine
 

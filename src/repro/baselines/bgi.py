@@ -95,10 +95,11 @@ class BGIBroadcast(BroadcastAlgorithm):
     # -- fast engine -------------------------------------------------------
 
     def reset_run(self, shape: int | tuple[int, int]) -> None:
-        """Called by the fast engines before a run.
+        """Called by the vectorised engines before a run.
 
-        ``shape`` is ``n`` on :class:`~repro.sim.fast.FastEngine` and
-        ``(trials, n)`` on :class:`~repro.sim.fast.BatchedFastEngine`.
+        ``shape`` is ``(trials, n)`` on
+        :class:`~repro.sim.fast.BatchedFastEngine` and ``n`` on the
+        macro engine's per-slot fallback.
         """
         self._active_mask = np.zeros(shape, dtype=bool)
         self._active_phase = -1

@@ -12,8 +12,9 @@ paper's algorithms and checks the semantics end to end:
 * message loss degrades broadcasting time monotonically;
 * a jam window on a receiver delays its wake past the window, and an
   adversarial wake-up delay acts as a completion-time floor;
-* all three engines (reference, fast, batched) produce bit-identical
-  faulty executions — wake times and fault counters alike.
+* three independent engines (reference, event-driven, batched array)
+  produce bit-identical faulty executions — wake times and fault
+  counters alike.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from ..analysis import render_table, summarize
 from ..baselines import BGIBroadcast, RoundRobinBroadcast
 from ..sim import FaultPlan, repeat_broadcast, run_broadcast
-from ..sim.fast import run_broadcast_batch, run_broadcast_fast
+from ..sim.fast import run_broadcast_batch
 from ..topology import gnp_connected, path
 from .base import ExperimentReport, register
 
@@ -135,18 +136,21 @@ def run(quick: bool = False) -> ExperimentReport:
     )
     for trial, seed in enumerate((0, 1, 2)):
         ref = run_broadcast(net, bgi, seed=seed, max_steps=max_steps, faults=plan)
-        fast = run_broadcast_fast(net, bgi, seed=seed, max_steps=max_steps, faults=plan)
+        event = run_broadcast(
+            net, bgi, seed=seed, max_steps=max_steps, faults=plan, engine="event"
+        )
         same = (
-            ref.wake_times == fast.wake_times == batch[trial].wake_times
-            and ref.time == fast.time == batch[trial].time
+            ref.wake_times == event.wake_times == batch[trial].wake_times
+            and ref.time == event.time == batch[trial].time
             and ref.fault_counters
-            == fast.fault_counters
+            == event.fault_counters
             == batch[trial].fault_counters
         )
         parity &= same
         details.append(f"seed {seed}: {'ok' if same else 'MISMATCH'}")
     report.check(
-        "reference, fast, and batched engines agree bit-for-bit under faults",
+        "reference, event-driven, and batched engines agree bit-for-bit "
+        "under faults",
         parity,
         "; ".join(details),
     )

@@ -21,7 +21,6 @@ from .errors import (
 from .fast import (
     ASLEEP,
     BatchedFastEngine,
-    FastEngine,
     VectorizedAlgorithm,
     run_broadcast_batch,
     run_broadcast_fast,
@@ -64,7 +63,6 @@ __all__ = [
     "CoinSource",
     "ConfigurationError",
     "EventDrivenEngine",
-    "FastEngine",
     "FaultCounters",
     "FaultPlan",
     "MacroPlan",

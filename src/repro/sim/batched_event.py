@@ -326,21 +326,23 @@ class BatchedEventEngine:
         class size, so the shared registry equals the aggregate of ``T``
         serial event-engine runs exactly.  One-shot (the class registries
         are consumed); :meth:`run` calls it, manual steppers must call it
-        before snapshotting.  Also sets ``batch_active_trials`` to the
-        current unsettled count, mirroring the batched fast engine.
+        before snapshotting.  Batches of more than one trial also set
+        ``batch_active_trials`` to the current unsettled count, mirroring
+        the batched fast engine.
         """
         if self.metrics is None or self._metrics_flushed:
             return
         self._metrics_flushed = True
         for cls in self._classes:
             self.metrics.merge(cls.metrics, weight=len(cls.members))
-        self.metrics.gauge("batch_active_trials").set(
-            sum(
-                len(cls.members)
-                for cls in self._classes
-                if not cls.engine.all_settled
+        if self.trials > 1:
+            self.metrics.gauge("batch_active_trials").set(
+                sum(
+                    len(cls.members)
+                    for cls in self._classes
+                    if not cls.engine.all_settled
+                )
             )
-        )
 
     # ------------------------------------------------------------------
     # Per-trial accessors (the driver's view), all O(1) per trial.
@@ -370,10 +372,15 @@ class BatchedEventEngine:
         counters = self._class_of[trial].engine.fault_counters
         return counters.snapshot() if counters is not None else None
 
-    def transmission_counts(self, trial: int) -> list[int] | None:
-        """Per-node transmission tallies of one trial (label order);
+    def transmission_counts(self) -> list[list[int]] | None:
+        """Per-node transmission tallies of every trial (label order);
         ``None`` when the batch ran uninstrumented."""
-        return self._class_of[trial].engine.transmission_counts()
+        if self.metrics is None:
+            return None
+        return [
+            self._class_of[t].engine.transmission_counts()
+            for t in range(self.trials)
+        ]
 
     def error_for(self, trial: int) -> ProtocolViolationError | None:
         """The violation that aborted this trial's class, if any."""

@@ -16,8 +16,6 @@ flat CSR arrays so the two fast families share one kernel:
   mask: the same gather over every trial's transmitters while they are
   sparse, one product with the scipy :attr:`ChannelKernel.adjacency_t`
   matrix once they are dense.
-* :class:`~repro.sim.fast.FastEngine` resolves its ``(n,)`` mask with one
-  product with :attr:`ChannelKernel.adjacency`.
 
 Node *indices* are positions in the sorted label array
 (:attr:`ChannelKernel.labels`), the same convention ``sim/fast.py`` has
@@ -112,37 +110,28 @@ class ChannelKernel:
         # Written fresh on every resolve(); only entries with hits == 1
         # this slot are ever read, and those were written this slot.
         self._sender_buf = np.empty(self.n, dtype=np.int64)
-        self._adjacency = None
         self._adjacency_t = None
         self._mask_buf: np.ndarray | None = None  # hit_counts' int32 (n, trials)
 
-    # -- sparse-matrix views (the fast engines' form of the kernel) --------
-
-    @property
-    def adjacency(self):
-        """Sparse ``(n, n)`` int32 CSR sender -> receiver matrix.
-
-        ``mask_int32 @ adjacency`` yields per-receiver hit counts; built
-        lazily so engines that never need the matrix form (the
-        event-driven engine) keep scipy off their import path.
-        """
-        if self._adjacency is None:
-            from scipy import sparse
-
-            data = np.ones(len(self.indices), dtype=np.int32)
-            self._adjacency = sparse.csr_matrix(
-                (data, self.indices.astype(np.int32), self.indptr),
-                shape=(self.n, self.n), dtype=np.int32,
-            )
-            self._adjacency.sort_indices()  # canonical form for scipy fast paths
-        return self._adjacency
+    # -- sparse-matrix view (the dense-slot form of the kernel) ------------
 
     @property
     def adjacency_t(self):
-        """Transposed adjacency as CSR, for the batched sparse-first form
-        ``(adj^T @ mask^T)^T`` (see :class:`~repro.sim.fast.BatchedFastEngine`)."""
+        """Sparse ``(n, n)`` int32 receiver -> sender matrix (CSR), for the
+        batched dense-slot form ``(adj^T @ mask^T)^T`` of :meth:`hit_counts`.
+
+        The kernel's sender-major CSR arrays read as CSC are exactly this
+        transpose.  Built lazily so engines that never need the matrix
+        form (the event-driven engine) keep scipy off their import path.
+        """
         if self._adjacency_t is None:
-            self._adjacency_t = self.adjacency.T.tocsr()
+            from scipy import sparse
+
+            data = np.ones(len(self.indices), dtype=np.int32)
+            self._adjacency_t = sparse.csc_matrix(
+                (data, self.indices.astype(np.int32), self.indptr),
+                shape=(self.n, self.n), dtype=np.int32,
+            ).tocsr()
         return self._adjacency_t
 
     # -- transmitter gathers -----------------------------------------------

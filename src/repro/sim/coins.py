@@ -1,10 +1,10 @@
 """Shared randomness derivation for every execution path.
 
-All three engines — the per-node reference engine
-(:class:`~repro.sim.engine.SynchronousEngine`), the vectorised
-:class:`~repro.sim.fast.FastEngine`, and the batched multi-trial
-:class:`~repro.sim.fast.BatchedFastEngine` — must produce *identical*
-executions for the same ``(network, algorithm, seed)``.  Two pieces make
+Every engine — the per-node reference engine
+(:class:`~repro.sim.engine.SynchronousEngine`), the vectorised multi-trial
+:class:`~repro.sim.fast.BatchedFastEngine` (a single run is its one-trial
+batch), and the macro-step engine — must produce *identical* executions
+for the same ``(network, algorithm, seed)``.  Two pieces make
 that possible:
 
 * **Per-node RNG derivation.**  Node ``v`` of a run with master seed ``s``

@@ -163,6 +163,32 @@ class SynchronousEngine:
     def _dead(self, label: int, step: int) -> bool:
         return self._crash_slots.get(label, NEVER) <= step
 
+    def _hears(
+        self, receiver: int, step: int, jam_set: frozenset[int], asleep: bool
+    ) -> bool:
+        """The crash -> jam -> loss -> wake-delay rule for one would-be
+        delivery (the receiver has exactly one transmitting in-neighbour
+        and does not transmit itself); call only under a fault plan.
+
+        Returns whether ``receiver`` hears the message.  A drop by the
+        loss coin or by a pending wake delay (``asleep`` receivers only)
+        is counted in :attr:`fault_counters`.  The array form of the
+        same rule is :func:`~repro.sim.faults.apply_delivery_faults`.
+        """
+        if self._dead(receiver, step) or receiver in jam_set:
+            return False  # crashed, or jammed: noise is silence
+        if (
+            self._loss_probability > 0.0
+            and scalar_loss_coin(self._fault_seed, receiver, step)
+            < self._loss_probability
+        ):
+            self.fault_counters.lost_messages += 1
+            return False
+        if asleep and step < self._deaf_until.get(receiver, 0):
+            self.fault_counters.delayed_wakes += 1
+            return False  # wake-up delayed: the message is ignored
+        return True
+
     def _make_rng(self, label: int) -> random.Random:
         # Shared derivation (repro.sim.coins via repro.sim.run): the same
         # helper seeds the fast engines' coin keys, so all execution paths
@@ -228,33 +254,21 @@ class SynchronousEngine:
         for receiver, count in hits.items():
             if receiver in transmissions:
                 continue  # half-duplex: transmitters hear nothing
-            if faulty and self._dead(receiver, step):
-                continue  # crashed nodes receive nothing
             if count == 1:
-                # Fault pipeline on a would-be delivery: jam, then loss,
-                # then wake-delay; the first suppressing stage wins.
-                if receiver in jam_set:
-                    continue  # jammed: noise, indistinguishable from silence
-                if (
-                    self._loss_probability > 0.0
-                    and scalar_loss_coin(self._fault_seed, receiver, step)
-                    < self._loss_probability
+                protocol = self.protocols.get(receiver)
+                if faulty and not self._hears(
+                    receiver, step, jam_set, protocol is None
                 ):
-                    counters.lost_messages += 1
                     continue
                 message = incoming[receiver]
-                protocol = self.protocols.get(receiver)
+                deliveries[receiver] = message.sender
                 if protocol is None:
-                    if faulty and step < self._deaf_until.get(receiver, 0):
-                        counters.delayed_wakes += 1
-                        continue  # wake-up delayed: the message is ignored
-                    deliveries[receiver] = message.sender
                     self._wake(receiver, step, message)
                     woken.append(receiver)
                 else:
-                    deliveries[receiver] = message.sender
                     protocol.observe(step, message)
-            else:
+            elif not (faulty and self._dead(receiver, step)):
+                # A collision at a live listener (the dead hear nothing).
                 if record_full:
                     collisions.append(receiver)
                 # Model variant: collision detection lets awake listeners

@@ -51,7 +51,7 @@ from ..obs.timings import Timings
 from .channel import ChannelKernel
 from .engine import SynchronousEngine
 from .errors import ConfigurationError
-from .faults import FaultPlan, scalar_loss_coin
+from .faults import FaultPlan
 from .messages import COLLISION_MARKER, Message
 from .network import RadioNetwork
 from .protocol import BroadcastAlgorithm, Protocol, QUIET_FOREVER
@@ -171,8 +171,9 @@ class EventDrivenEngine(SynchronousEngine):
         Mirrors :meth:`SynchronousEngine.run_step` phase for phase —
         fault accrual, action collection, channel resolution (via the
         CSR/bincount kernel), the crash -> jam -> loss -> wake-delay
-        delivery pipeline, observations, metrics, trace — touching
-        ``O(active + receivers)`` protocols instead of ``O(awake)``.
+        delivery rule (:meth:`_hears`), observations, metrics, trace —
+        touching ``O(active + receivers)`` protocols instead of
+        ``O(awake)``.
         """
         step = self.step
         timings = self.timings
@@ -224,31 +225,19 @@ class EventDrivenEngine(SynchronousEngine):
             # numpy needed; n_coll stays 0.
             sender, message = next(iter(transmissions.items()))
             for receiver in self._out_nbrs[sender]:
-                if faulty:
-                    if self._dead(receiver, step):
-                        continue  # crashed nodes receive nothing
-                    if receiver in jam_set:
-                        continue  # jammed: indistinguishable from silence
-                    if (
-                        self._loss_probability > 0.0
-                        and scalar_loss_coin(self._fault_seed, receiver, step)
-                        < self._loss_probability
-                    ):
-                        counters.lost_messages += 1
-                        continue
                 protocol = protocols.get(receiver)
+                if faulty and not self._hears(
+                    receiver, step, jam_set, protocol is None
+                ):
+                    continue
+                deliveries[receiver] = sender
                 if protocol is None:
-                    if faulty and step < self._deaf_until.get(receiver, 0):
-                        counters.delayed_wakes += 1
-                        continue  # wake-up delayed: the message is ignored
-                    deliveries[receiver] = sender
                     self._wake(receiver, step, message)
                     woken.append(receiver)
                     touched[receiver] = protocols[receiver]
                 else:
                     # A delivery voids any quiet promise, even for nodes
                     # that were not polled this slot.
-                    deliveries[receiver] = sender
                     protocol.observe(step, message)
                     touched[receiver] = protocol
         elif transmissions:
@@ -266,30 +255,18 @@ class EventDrivenEngine(SynchronousEngine):
                 receiver = int(labels_arr[ri])
                 if receiver in transmissions:
                     continue  # half-duplex: transmitters hear nothing
-                if faulty:
-                    if self._dead(receiver, step):
-                        continue  # crashed nodes receive nothing
-                    if receiver in jam_set:
-                        continue  # jammed: indistinguishable from silence
-                    if (
-                        self._loss_probability > 0.0
-                        and scalar_loss_coin(self._fault_seed, receiver, step)
-                        < self._loss_probability
-                    ):
-                        counters.lost_messages += 1
-                        continue
-                message = transmissions[int(labels_arr[sender_of[ri]])]
                 protocol = protocols.get(receiver)
+                if faulty and not self._hears(
+                    receiver, step, jam_set, protocol is None
+                ):
+                    continue
+                message = transmissions[int(labels_arr[sender_of[ri]])]
+                deliveries[receiver] = message.sender
                 if protocol is None:
-                    if faulty and step < self._deaf_until.get(receiver, 0):
-                        counters.delayed_wakes += 1
-                        continue  # wake-up delayed: the message is ignored
-                    deliveries[receiver] = message.sender
                     self._wake(receiver, step, message)
                     woken.append(receiver)
                     touched[receiver] = protocols[receiver]
                 else:
-                    deliveries[receiver] = message.sender
                     protocol.observe(step, message)
                     touched[receiver] = protocol
             if (

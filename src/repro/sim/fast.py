@@ -1,4 +1,4 @@
-"""Vectorised engines for *oblivious* algorithms.
+"""Vectorised engine for *oblivious* algorithms.
 
 Both randomized algorithms studied in the paper — the Kowalski–Pelc stage
 algorithm and BGI Decay — as well as the round-robin and selective-family
@@ -8,14 +8,12 @@ received message contents.  For such algorithms the channel can be resolved
 with one sparse matrix-vector product per slot, which makes the large
 parameter sweeps of EXPERIMENTS.md feasible in pure Python.
 
-Two engines live here:
-
-* :class:`FastEngine` — one run, per-node state vectors of shape ``(n,)``.
-* :class:`BatchedFastEngine` — ``T`` independent Monte-Carlo trials at
-  once, state lifted to ``(T, n)``; one gather over the transmitters'
-  edges (one sparse product, once transmitters are dense) per slot
-  resolves the channel for *every* trial simultaneously.  This is the
-  workhorse of :func:`run_broadcast_batch` and the sweep runner.
+One engine lives here: :class:`BatchedFastEngine` runs ``T`` independent
+Monte-Carlo trials at once, state lifted to ``(T, n)``; one gather over
+the transmitters' edges (one sparse product, once transmitters are
+dense) per slot resolves the channel for *every* trial simultaneously.
+It is the workhorse of :func:`run_broadcast_batch` and the sweep runner,
+and a single run (:func:`run_broadcast_fast`) is its one-trial batch.
 
 *Adaptive* algorithms — the paper's token algorithms, whose decisions do
 depend on message contents — cannot be vectorised this way, but they have
@@ -49,7 +47,14 @@ from ..obs.timings import Timings
 from .channel import ChannelKernel
 from .coins import CoinSource, derive_trial_seeds
 from .errors import ConfigurationError
-from .faults import CompiledFaults, FaultCounters, FaultPlan, compile_faults, derive_fault_seed
+from .faults import (
+    CompiledFaults,
+    FaultCounters,
+    FaultPlan,
+    apply_delivery_faults,
+    compile_faults,
+    derive_fault_seed,
+)
 from .network import RadioNetwork
 from .guard import check_memory_budget
 from .run import (
@@ -62,7 +67,6 @@ from .trace import Trace, TraceLevel
 
 __all__ = [
     "VectorizedAlgorithm",
-    "FastEngine",
     "BatchedFastEngine",
     "run_broadcast_fast",
     "run_broadcast_batch",
@@ -99,11 +103,11 @@ class VectorizedAlgorithm(TypingProtocol):
             step: Global slot number.
             labels: ``int64`` array of node labels (fixed across steps),
                 always of shape ``(n,)``.
-            wake_steps: ``int64`` array; ``ASLEEP`` for uninformed nodes.
-                Shape ``(n,)`` on :class:`FastEngine`, ``(trials, n)`` on
-                :class:`BatchedFastEngine`.  Implementations may ignore
-                sleepers — the engine masks them out — but must not let
-                them influence other nodes.
+            wake_steps: ``int64`` array of shape ``(trials, n)`` on
+                :class:`BatchedFastEngine` (``(n,)`` on the macro engine's
+                per-slot fallback); ``ASLEEP`` for uninformed nodes.
+                Implementations may ignore sleepers — the engine masks
+                them out — but must not let them influence other nodes.
             r: Public label bound.
             coins: Slot-indexed coin flips, keyed like ``wake_steps``;
                 ``coins.thin(mask, step, p)`` keeps each ``True`` cell of
@@ -125,278 +129,17 @@ def _check_vectorized(algorithm) -> None:
         )
 
 
-class FastEngine:
-    """Array-based synchronous engine for a single run.
-
-    Args:
-        network: Topology (directed or undirected).
-        algorithm: An oblivious algorithm implementing
-            :class:`VectorizedAlgorithm`.
-        seed: Master seed; coins are the slot-indexed flips of
-            :mod:`repro.sim.coins`, identical to what the reference
-            engine's per-node protocols draw.
-        faults: Optional :class:`~repro.sim.faults.FaultPlan`; applied
-            with exactly the reference engine's semantics.
-        metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`
-            (slot/transmission/collision instruments, identical names and
-            semantics to the reference engine's).
-        timings: Optional :class:`~repro.obs.timings.Timings` accumulating
-            the stages ``engine.coins``, ``engine.channel``,
-            ``engine.faults`` (⊂ channel), and ``engine.step``.
-        trace_level: Channel detail to record into :attr:`trace` —
-            identical records to the reference engine's (transmitters,
-            deliveries, collisions, woken; asserted by the conformance
-            suite).  ``NONE`` (the default) records nothing and adds no
-            per-slot work beyond one attribute check.
-    """
-
-    def __init__(
-        self,
-        network: RadioNetwork,
-        algorithm: VectorizedAlgorithm,
-        seed: int = 0,
-        faults: FaultPlan | None = None,
-        metrics: MetricsRegistry | None = None,
-        timings: Timings | None = None,
-        trace_level: TraceLevel = TraceLevel.NONE,
-    ):
-        _check_vectorized(algorithm)
-        self.network = network
-        self.algorithm = algorithm
-        self.seed = seed
-        kernel = ChannelKernel(network)
-        self.labels = kernel.labels
-        self._index = kernel.index
-        self.adjacency = kernel.adjacency
-        self.coins = CoinSource.for_run(seed, self.labels)
-        self.trace = Trace(level=trace_level)
-        self.trace.mark_initially_informed(network.source)
-        self._tracing = trace_level is not TraceLevel.NONE
-        self._trace_full = trace_level is TraceLevel.FULL
-        # Sender identification for FULL traces: at a receiver with
-        # exactly one transmitting in-neighbour, the weighted hit count
-        # (weight index + 1) *is* that sender's index + 1.
-        self._weights = (
-            np.arange(network.n, dtype=np.int64) + 1 if self._trace_full else None
-        )
-        self.wake_steps = np.full(network.n, ASLEEP, dtype=np.int64)
-        self.wake_steps[self._index[network.source]] = -1
-        # Hot-loop scratch buffers: the per-slot int32 transmit vector and
-        # the boolean collision temporaries are written in place instead of
-        # freshly allocated every slot (see run_step).
-        self._mask_i32 = np.empty(network.n, dtype=np.int32)
-        self._coll_buf = np.empty(network.n, dtype=bool)
-        self._not_tx_buf = np.empty(network.n, dtype=bool)
-        self.step = 0
-        self.timings = timings
-        self.metrics = metrics
-        self._tx_counts: np.ndarray | None = None
-        if metrics is not None:
-            self._slots_counter = metrics.counter("engine_slots")
-            self._tx_counter = metrics.counter("engine_transmissions")
-            self._collision_hist = metrics.histogram(
-                "collisions_per_slot", COUNT_BUCKETS
-            )
-            self._tx_counts = np.zeros(network.n, dtype=np.int64)
-        self.faults = faults
-        self.fault_counters: FaultCounters | None = None
-        self._cf: CompiledFaults | None = None
-        if faults is not None:
-            self._cf = compile_faults(
-                faults, network, self._index, self.labels,
-                [derive_fault_seed(faults.seed, seed)],
-            )
-            self.fault_counters = FaultCounters()
-            self.trace.fault_counters = self.fault_counters
-        # Stateful schedules (e.g. Decay's per-phase activity mask) get a
-        # fresh-run notification so algorithm objects can be reused.
-        reset = getattr(algorithm, "reset_run", None)
-        if reset is not None:
-            reset(network.n)
-
-    # ------------------------------------------------------------------
-
-    @property
-    def awake(self) -> np.ndarray:
-        """Boolean mask of informed nodes."""
-        return self.wake_steps != ASLEEP
-
-    @property
-    def all_informed(self) -> bool:
-        return bool(self.awake.all())
-
-    @property
-    def informed_count(self) -> int:
-        return int(self.awake.sum())
-
-    @property
-    def all_settled(self) -> bool:
-        """No further wake possible: informed, or crashed while asleep."""
-        cf = self._cf
-        if cf is None or not cf.has_crashes:
-            return self.all_informed
-        return bool((self.awake | (cf.crash_slots <= self.step)).all())
-
-    def run_step(self) -> np.ndarray:
-        """Execute one slot; returns the boolean transmit mask used."""
-        step = self.step
-        awake = self.awake
-        cf = self._cf
-        timings = self.timings
-        t_start = perf_counter() if timings is not None else 0.0
-        alive = None
-        if cf is not None:
-            counters = self.fault_counters
-            counters.crashed_nodes += cf.crash_counts.get(step, 0)
-            counters.jammed_slots += len(cf.jam_indices.get(step, ()))
-            if cf.has_crashes:
-                alive = cf.crash_slots > step
-        mask = self.algorithm.transmit_mask(
-            step, self.labels, self.wake_steps, self.network.r, self.coins
-        )
-        if timings is not None:
-            t_coins = perf_counter()
-            timings.add("engine.coins", t_coins - t_start)
-        mask = np.asarray(mask, dtype=bool) & awake  # no spontaneous transmissions
-        if alive is not None:
-            mask &= alive  # crashed nodes are silent forever
-        n_coll = 0
-        newly = rec_deliver = trace_hits = None
-        if mask.any():
-            mask_i32 = self._mask_i32
-            mask_i32[:] = mask  # in-place bool -> int32 cast, no allocation
-            hits = mask_i32 @ self.adjacency
-            hits = np.asarray(hits).ravel()
-            trace_hits = hits
-            if self.metrics is not None:
-                coll = np.greater_equal(hits, 2, out=self._coll_buf)
-                coll &= np.logical_not(mask, out=self._not_tx_buf)
-                n_coll = int(coll.sum())
-            if cf is None:
-                # Exactly-one rule; transmitters cannot receive (half-duplex)
-                # but they are already informed, so only sleepers matter.
-                newly = (~awake) & (hits == 1)
-                if self._trace_full:
-                    rec_deliver = (hits == 1) & ~mask
-            else:
-                # Fault pipeline, identical to the reference engine:
-                # crash -> jam -> loss -> wake-delay.
-                t_faults = perf_counter() if timings is not None else 0.0
-                delivered = (hits == 1) & ~mask
-                if alive is not None:
-                    delivered &= alive
-                jammed = cf.jam_indices.get(step)
-                if jammed is not None and jammed.size:
-                    delivered[jammed] = False
-                if cf.loss_probability > 0.0 and delivered.any():
-                    lost = delivered & (
-                        cf.loss_coins.uniform(step) < cf.loss_probability
-                    )
-                    counters.lost_messages += int(lost.sum())
-                    delivered &= ~lost
-                sleeping = delivered & ~awake
-                if cf.has_delays:
-                    delayed = sleeping & (step < cf.deaf_until)
-                    counters.delayed_wakes += int(delayed.sum())
-                    newly = sleeping & ~delayed
-                else:
-                    newly = sleeping
-                if self._trace_full:
-                    # Awake receivers hear too (already informed, never
-                    # deaf); sleepers only count if they actually woke.
-                    rec_deliver = (delivered & awake) | newly
-                if timings is not None:
-                    timings.add("engine.faults", perf_counter() - t_faults)
-            self.wake_steps[newly] = step
-        if timings is not None:
-            t_end = perf_counter()
-            timings.add("engine.channel", t_end - t_coins)
-            timings.add("engine.step", t_end - t_start)
-        if self.metrics is not None:
-            self._slots_counter.inc()
-            self._tx_counter.inc(int(mask.sum()))
-            self._tx_counts += mask
-            self._collision_hist.observe(n_coll)
-        if self._tracing:
-            self._record_step(step, mask, trace_hits, alive, rec_deliver, newly)
-        self.step += 1
-        return mask
-
-    def _record_step(self, step, mask, hits, alive, rec_deliver, newly) -> None:
-        """Append slot ``step`` to :attr:`trace` (reference-identical)."""
-        labels = self.labels
-        transmitters: tuple[int, ...] = ()
-        deliveries: dict[int, int] = {}
-        collisions: tuple[int, ...] = ()
-        woken: tuple[int, ...] = ()
-        if hits is not None:  # someone transmitted this slot
-            transmitters = tuple(int(v) for v in labels[mask])
-            woken = tuple(int(v) for v in labels[newly])
-            if self._trace_full:
-                colls = (hits >= 2) & ~mask
-                if alive is not None:
-                    colls &= alive
-                collisions = tuple(int(v) for v in labels[colls])
-                if rec_deliver.any():
-                    senders = np.asarray(
-                        (mask * self._weights) @ self.adjacency
-                    ).ravel()
-                    deliveries = {
-                        int(labels[i]): int(labels[senders[i] - 1])
-                        for i in np.flatnonzero(rec_deliver)
-                    }
-        self.trace.record(
-            step=step,
-            transmitters=transmitters,
-            deliveries=deliveries,
-            collisions=collisions,
-            woken=woken,
-            informed=self.informed_count,
-        )
-
-    def run(self, max_steps: int, stop_when_informed: bool = True) -> int:
-        """Run until completion or the step limit; returns slots executed."""
-        executed = 0
-        while executed < max_steps:
-            if stop_when_informed and self.all_settled:
-                break
-            self.run_step()
-            executed += 1
-        return executed
-
-    @property
-    def completion_time(self) -> int | None:
-        """Slots needed to inform every node, or ``None`` if incomplete."""
-        if not self.all_informed:
-            return None
-        return int(self.wake_steps.max()) + 1
-
-    def wake_times(self) -> dict[int, int]:
-        """Map informed labels to their wake slots."""
-        return {
-            int(label): int(ws)
-            for label, ws in zip(self.labels, self.wake_steps)
-            if ws != ASLEEP
-        }
-
-    def transmission_counts(self) -> list[int] | None:
-        """Per-node transmission tallies (label order); ``None`` when
-        the engine ran uninstrumented."""
-        if self._tx_counts is None:
-            return None
-        return [int(c) for c in self._tx_counts]
-
-
 class BatchedFastEngine:
     """Array-based engine running ``T`` independent trials in lock-step.
 
     Per-node state is lifted to shape ``(trials, n)``; one
     :meth:`~repro.sim.channel.ChannelKernel.hit_counts` call per slot
     resolves the channel of every trial at once, at the cost of the
-    transmitters' edges while they are sparse.  Trial ``t``
-    executes *exactly* the run that ``FastEngine(network, algorithm,
-    seeds[t])`` would — same coin flips, same wake slots — because coins
-    are slot-indexed per ``(seed, label)`` and carry no cross-trial state.
+    transmitters' edges while they are sparse.  Trial ``t`` executes
+    *exactly* the single run with seed ``seeds[t]`` — same coin flips,
+    same wake slots — because coins are slot-indexed per
+    ``(seed, label)`` and carry no cross-trial state.  A single run
+    (:func:`run_broadcast_fast`) is the one-trial batch.
 
     Args:
         network: Topology (directed or undirected).
@@ -406,16 +149,17 @@ class BatchedFastEngine:
         faults: Optional :class:`~repro.sim.faults.FaultPlan`; crashes,
             jams and delays are identical across trials (the fault
             environment is the adversary), while the loss stream is keyed
-            per trial seed — trial ``t`` reproduces exactly
-            ``FastEngine(network, algorithm, seeds[t], faults=faults)``.
+            per trial seed — trial ``t`` reproduces exactly the single
+            run with seed ``seeds[t]`` under the same plan.
         metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`.
             Tallies are *per-trial-slot* and filtered to active
-            (unsettled) trials, so they match what the ``trials``
-            single-run engines would have recorded in aggregate.
+            (unsettled) trials, so they match what ``trials`` single
+            runs would have recorded in aggregate.  Batches of more than
+            one trial also keep the ``batch_active_trials`` gauge.
         timings: Optional :class:`~repro.obs.timings.Timings`, shared by
             the whole batch (stage costs are joint across trials).
-        trace_level: Per-trial channel traces with the single-run
-            engines' exact records (a settled trial stops recording, like
+        trace_level: Per-trial channel traces with the reference
+            engine's exact records (a settled trial stops recording, like
             the run it reproduces stops executing); retrieve with
             :meth:`trace_for`.  ``NONE`` (the default) records nothing.
     """
@@ -457,9 +201,8 @@ class BatchedFastEngine:
         self.wake_steps[:, self._index[network.source]] = -1
         # ``wake_steps != ASLEEP``, kept up to date by run_step.
         self._awake = self.wake_steps != ASLEEP
-        # Hot-loop scratch buffers (see FastEngine): boolean collision
-        # temporaries, written in place instead of freshly allocated
-        # every slot.
+        # Hot-loop scratch buffers: boolean collision temporaries, written
+        # in place instead of freshly allocated every slot.
         self._coll_buf = np.empty((self.trials, network.n), dtype=bool)
         self._not_tx_buf = np.empty((self.trials, network.n), dtype=bool)
         self.step = 0
@@ -475,7 +218,10 @@ class BatchedFastEngine:
         if metrics is not None:
             self._slots_counter = metrics.counter("engine_slots")
             self._tx_counter = metrics.counter("engine_transmissions")
-            self._active_gauge = metrics.gauge("batch_active_trials")
+            # A one-trial batch is a single run: no batch liveness gauge.
+            self._active_gauge = (
+                metrics.gauge("batch_active_trials") if self.trials > 1 else None
+            )
             self._collision_hist = metrics.histogram(
                 "collisions_per_slot", COUNT_BUCKETS
             )
@@ -489,10 +235,10 @@ class BatchedFastEngine:
             )
             # All four tallies are per-trial: although crashes and jams
             # are trial-independent events, a trial stops *accruing* them
-            # once it settles (mirroring the single-run engine, which
-            # stops executing slots at that point), and settle times
-            # differ across trials.  ``_executed`` counts the slots each
-            # trial was still active for — the single-run ``engine.step``.
+            # once it settles (mirroring a single run, which stops
+            # executing slots at that point), and settle times differ
+            # across trials.  ``_executed`` counts the slots each trial
+            # was still active for — a single run's ``engine.step``.
             self._crashed = np.zeros(self.trials, dtype=np.int64)
             self._jammed = np.zeros(self.trials, dtype=np.int64)
             self._lost = np.zeros(self.trials, dtype=np.int64)
@@ -609,36 +355,18 @@ class BatchedFastEngine:
                     self._kernel.adjacency_t @ (mask * self._trace_weights).T
                 ).T
             if cf is None:
+                # Exactly-one rule; transmitters cannot receive (half-duplex)
+                # but they are already informed, so only sleepers matter.
                 newly = (~awake) & (hits == 1)
                 if self._trace_full:
                     rec_deliver = (hits == 1) & ~mask
             else:
-                # Fault pipeline, identical to FastEngine per trial row:
-                # crash -> jam -> loss -> wake-delay.
                 t_faults = perf_counter() if timings is not None else 0.0
-                delivered = (hits == 1) & ~mask
-                if alive is not None:
-                    delivered &= alive
-                jammed = cf.jam_indices.get(step)
-                if jammed is not None and jammed.size:
-                    delivered[:, jammed] = False
-                if cf.loss_probability > 0.0 and delivered.any():
-                    lost = delivered & (
-                        cf.loss_coins.uniform(step) < cf.loss_probability
-                    )
-                    self._lost += lost.sum(axis=1) * active
-                    delivered &= ~lost
-                sleeping = delivered & ~awake
-                if cf.has_delays:
-                    delayed = sleeping & (step < cf.deaf_until)
-                    self._delayed += delayed.sum(axis=1) * active
-                    newly = sleeping & ~delayed
-                else:
-                    newly = sleeping
-                if self._trace_full:
-                    # Awake receivers hear too (already informed, never
-                    # deaf); sleepers only count if they actually woke.
-                    rec_deliver = (delivered & awake) | newly
+                newly, rec_deliver, lost, delayed = apply_delivery_faults(
+                    cf, (hits == 1) & ~mask, awake, alive, step
+                )
+                self._lost += lost * active
+                self._delayed += delayed * active
                 if timings is not None:
                     timings.add("engine.faults", perf_counter() - t_faults)
             self.wake_steps[newly] = step
@@ -652,7 +380,8 @@ class BatchedFastEngine:
             # comparable with running the trials on single-run engines.
             n_active = int(m_active.sum())
             self._slots_counter.inc(n_active)
-            self._active_gauge.set(n_active)
+            if self._active_gauge is not None:
+                self._active_gauge.set(n_active)
             if n_active == self.trials:
                 active_mask, active_tx = mask, live
             else:
@@ -708,10 +437,12 @@ class BatchedFastEngine:
             )
 
     def trace_for(self, trial: int) -> Trace:
-        """Per-trial channel trace (an empty ``NONE`` trace when untraced)."""
+        """Per-trial channel trace (an empty ``NONE`` trace when untraced),
+        carrying the trial's fault tallies under a fault plan."""
         if self._traces is None:
-            return Trace(level=TraceLevel.NONE)
-        trace = self._traces[trial]
+            trace = Trace(level=TraceLevel.NONE)
+        else:
+            trace = self._traces[trial]
         if self._cf is not None:
             trace.fault_counters = self.fault_counters_for(trial)
         return trace
@@ -722,9 +453,10 @@ class BatchedFastEngine:
         :meth:`run` calls this after its slot loop; callers stepping the
         engine manually with :meth:`run_step` must call it before
         snapshotting the registry.  Idempotent between steps.  Also
-        refreshes ``batch_active_trials`` to the *current* unsettled
-        count (0 after a completed run) — during the slot loop the gauge
-        tracks the count entering each slot.
+        refreshes ``batch_active_trials`` (batches of more than one trial)
+        to the *current* unsettled count (0 after a completed run) —
+        during the slot loop the gauge tracks the count entering each
+        slot.
         """
         if self.metrics is None:
             return
@@ -734,15 +466,16 @@ class BatchedFastEngine:
         if self._collision_zero_trials:
             self._collision_hist.observe_repeated(0, self._collision_zero_trials)
             self._collision_zero_trials = 0
-        self._active_gauge.set(int((~self.trials_settled).sum()))
+        if self._active_gauge is not None:
+            self._active_gauge.set(int((~self.trials_settled).sum()))
 
     def run(self, max_steps: int, stop_when_informed: bool = True) -> int:
         """Run until every trial settles or the step limit; returns slots.
 
         Settled trials keep stepping (their wake times and fault tallies
         are frozen, so the extra slots are no-ops for them) until the last
-        trial finishes — exactly the per-trial executions of the
-        single-run engine.
+        trial finishes — exactly the per-trial executions of one-trial
+        batches.
         """
         executed = 0
         while executed < max_steps:
@@ -760,8 +493,7 @@ class BatchedFastEngine:
         trial only stops early by completing, in which case its time comes
         from :meth:`completion_times` instead).  Under a plan with crashes
         a trial can settle *incomplete*, and its executed-slot count —
-        what the single-run engines report as ``engine.step`` — is frozen
-        at that point.
+        what a single run reports as its time — is frozen at that point.
         """
         if self._cf is None:
             return self.step
@@ -795,12 +527,10 @@ class BatchedFastEngine:
             if ws != ASLEEP
         }
 
-    def transmission_counts(self, trial: int) -> list[int] | None:
-        """Per-node transmission tallies of one trial (label order);
+    def transmission_counts(self) -> np.ndarray | None:
+        """``(trials, n)`` per-node transmission tallies (label order);
         ``None`` when the engine ran uninstrumented."""
-        if self._tx_counts is None:
-            return None
-        return [int(c) for c in self._tx_counts[trial]]
+        return self._tx_counts
 
 
 def run_broadcast_fast(
@@ -817,6 +547,7 @@ def run_broadcast_fast(
 ) -> BroadcastResult:
     """Vectorised counterpart of :func:`repro.sim.run.run_broadcast`.
 
+    Runs as the one-trial batch ``[seed]`` of :class:`BatchedFastEngine`.
     ``allow_large`` skips the :func:`~repro.sim.guard.check_memory_budget`
     estimate guard (FULL traces at large ``n * max_steps``)."""
     if max_steps is None:
@@ -827,8 +558,8 @@ def run_broadcast_fast(
     )
     if timings is None and (metrics is not None or spans is not None):
         timings = Timings()
-    engine = FastEngine(
-        network, algorithm, seed=seed, faults=faults,
+    engine = BatchedFastEngine(
+        network, algorithm, [seed], faults=faults,
         metrics=metrics, timings=timings, trace_level=trace_level,
     )
     with (
@@ -840,30 +571,49 @@ def run_broadcast_fast(
         else nullcontext()
     ):
         engine.run(max_steps)
-    completed = engine.all_informed
-    time = engine.completion_time if completed else engine.step
-    wake_times = engine.wake_times()
-    result = BroadcastResult(
-        completed=completed,
-        time=time,
-        informed=engine.informed_count,
-        n=network.n,
-        radius=network.radius,
-        algorithm=algorithm.name,
-        seed=seed,
-        wake_times=wake_times,
-        layer_times=_layer_times_for(network, wake_times, engine.wake_steps),
-        trace=engine.trace,
-        fault_counters=(
-            engine.fault_counters.snapshot()
-            if engine.fault_counters is not None
-            else None
-        ),
-        timings=timings,
+    (result,) = _batch_results(
+        engine, network, algorithm, metrics, timings, engine.wake_steps
     )
-    if metrics is not None:
-        _record_result_metrics(metrics, result, engine.transmission_counts())
     return result
+
+
+def _batch_results(
+    engine, network, algorithm, metrics, timings, wake_rows=None
+) -> list[BroadcastResult]:
+    """One :class:`BroadcastResult` per trial of a finished batch engine.
+
+    ``wake_rows`` is the engine's ``(trials, n)`` wake-slot array when it
+    keeps one (the array fast path of the layer times).
+    """
+    results = []
+    for t, time in enumerate(engine.completion_times()):
+        wake_times = engine.wake_times(t)
+        result = BroadcastResult(
+            completed=time is not None,
+            time=engine.trial_steps(t) if time is None else time,
+            informed=len(wake_times),
+            n=network.n,
+            radius=network.radius,
+            algorithm=algorithm.name,
+            seed=engine.seeds[t],
+            wake_times=wake_times,
+            layer_times=_layer_times_for(
+                network, wake_times, None if wake_rows is None else wake_rows[t]
+            ),
+            trace=engine.trace_for(t),
+            fault_counters=engine.fault_counters_for(t),
+            timings=timings,
+        )
+        if metrics is not None:
+            _record_result_metrics(metrics, result)
+        results.append(result)
+    if metrics is not None:
+        # Every trial's per-node tallies in one observation: a histogram
+        # does not depend on how its observations are grouped.
+        metrics.histogram("transmissions_per_node", COUNT_BUCKETS).observe_many(
+            engine.transmission_counts()
+        )
+    return results
 
 
 def run_broadcast_batch(
@@ -990,36 +740,9 @@ def run_broadcast_batch(
     )
     with batch_span:
         engine.run(max_steps)
-    times = engine.completion_times()
-    counts = engine.informed_counts()
-    results = []
-    for t, seed in enumerate(engine.seeds):
-        completed = times[t] is not None
-        wake_times = engine.wake_times(t)
-        result = BroadcastResult(
-            completed=completed,
-            time=times[t] if completed else engine.trial_steps(t),
-            informed=int(counts[t]),
-            n=network.n,
-            radius=network.radius,
-            algorithm=algorithm.name,
-            seed=seed,
-            wake_times=wake_times,
-            layer_times=_layer_times_for(network, wake_times, engine.wake_steps[t]),
-            trace=engine.trace_for(t),
-            fault_counters=engine.fault_counters_for(t),
-            timings=timings,
-        )
-        if metrics is not None:
-            _record_result_metrics(metrics, result)
-        results.append(result)
-    if metrics is not None:
-        # Every trial's per-node tallies in one observation: a histogram
-        # does not depend on how its observations are grouped.
-        metrics.histogram("transmissions_per_node", COUNT_BUCKETS).observe_many(
-            engine._tx_counts
-        )
-    return results
+    return _batch_results(
+        engine, network, algorithm, metrics, timings, engine.wake_steps
+    )
 
 
 def _run_batched_event(
@@ -1037,26 +760,4 @@ def _run_batched_event(
         step_hooks=step_hooks,
     )
     engine.run(max_steps)
-    times = engine.completion_times()
-    results = []
-    for t, seed in enumerate(engine.seeds):
-        completed = times[t] is not None
-        wake_times = engine.wake_times(t)
-        result = BroadcastResult(
-            completed=completed,
-            time=times[t] if completed else engine.trial_steps(t),
-            informed=len(wake_times),
-            n=network.n,
-            radius=network.radius,
-            algorithm=algorithm.name,
-            seed=seed,
-            wake_times=wake_times,
-            layer_times=_layer_times_for(network, wake_times),
-            trace=engine.trace_for(t),
-            fault_counters=engine.fault_counters_for(t),
-            timings=timings,
-        )
-        if metrics is not None:
-            _record_result_metrics(metrics, result, engine.transmission_counts(t))
-        results.append(result)
-    return results
+    return _batch_results(engine, network, algorithm, metrics, timings)

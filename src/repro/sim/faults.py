@@ -5,9 +5,9 @@ the channel; related work (Czumaj–Davies randomized broadcasting without
 network knowledge, crash-prone radio models) studies how algorithms
 degrade when the network misbehaves.  This module gives the simulator a
 single declarative description of such misbehaviour — a
-:class:`FaultPlan` — that **all three engines** apply with identical
-semantics, so the differential suite can assert bit-identical faulty
-executions across the reference, fast, and batched paths.
+:class:`FaultPlan` — that every engine applies with identical semantics,
+so the conformance suite can assert bit-identical faulty executions
+across the per-node and array paths.
 
 Four fault families are supported:
 
@@ -31,7 +31,10 @@ Four fault families are supported:
 Ordering within one slot (also specified in ``docs/MODEL.md``):
 crash -> transmit -> channel resolution -> jam -> loss -> wake-delay ->
 deliver/wake.  A delivery suppressed at one stage is not re-counted at a
-later one.
+later one.  The rule is written twice: once per would-be delivery for the
+per-node engines (``SynchronousEngine._hears``) and once over arrays
+for the oblivious engine (:func:`apply_delivery_faults`);
+``tests/sim/test_delivery_rule.py`` holds the two forms to each other.
 
 Determinism: the plan carries its own ``seed``; the per-run loss stream
 is keyed by ``derive_fault_seed(plan.seed, run_seed)``, so Monte-Carlo
@@ -56,6 +59,7 @@ __all__ = [
     "CompiledFaults",
     "derive_fault_seed",
     "compile_faults",
+    "apply_delivery_faults",
 ]
 
 #: Sentinel crash slot for nodes that never crash (mirrors fast.ASLEEP).
@@ -263,9 +267,8 @@ def scalar_loss_coin(fault_seed: int, receiver: int, step: int) -> float:
 class CompiledFaults:
     """A :class:`FaultPlan` lowered onto one engine's node indexing.
 
-    Shared by :class:`~repro.sim.fast.FastEngine` (coin keys of shape
-    ``(n,)``) and :class:`~repro.sim.fast.BatchedFastEngine` (``(T, n)``,
-    one loss stream per trial).
+    Built by :class:`~repro.sim.fast.BatchedFastEngine`; the loss coins
+    are keyed ``(trials, n)``, one loss stream per trial.
 
     Attributes:
         crash_slots: ``(n,)`` int64; :data:`NEVER` where the node never
@@ -302,8 +305,7 @@ def compile_faults(
         index: label -> engine array index.
         labels: The engine's label array (coin keys are per *label*).
         fault_seeds: One derived fault seed per trial
-            (:func:`derive_fault_seed`); a single-element sequence yields
-            ``(n,)`` coins, more yield ``(trials, n)``.
+            (:func:`derive_fault_seed`).
     """
     plan.validate_for(network)
     n = network.n
@@ -320,10 +322,7 @@ def compile_faults(
         jam_indices.setdefault(slot, []).append(index[receiver])
     loss_coins = None
     if plan.loss_probability > 0.0:
-        if len(fault_seeds) == 1:
-            loss_coins = CoinSource.for_run(fault_seeds[0], labels)
-        else:
-            loss_coins = CoinSource.for_batch(list(fault_seeds), labels)
+        loss_coins = CoinSource.for_batch(list(fault_seeds), labels)
     return CompiledFaults(
         crash_slots=crash_slots,
         deaf_until=deaf_until,
@@ -337,3 +336,45 @@ def compile_faults(
         has_crashes=bool(plan.crashes),
         has_delays=bool(plan.wake_delays),
     )
+
+
+def apply_delivery_faults(
+    cf: CompiledFaults,
+    delivered: np.ndarray,
+    awake: np.ndarray,
+    alive: np.ndarray | None,
+    step: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The crash -> jam -> loss -> wake-delay rule over ``(trials, n)`` arrays.
+
+    Args:
+        cf: The compiled plan.
+        delivered: Would-be deliveries of slot ``step``: receivers with
+            exactly one transmitting in-neighbour that do not transmit
+            themselves.  Overwritten.
+        awake: Informed nodes.
+        alive: ``cf.crash_slots > step``, or ``None`` when nothing crashes.
+        step: The slot.
+
+    Returns:
+        ``(newly, heard, lost, delayed)``: the sleepers woken in this
+        slot; every receiver that hears the message (awake receivers are
+        never deaf); and, per trial row, the deliveries the loss coin
+        dropped and the wake-ups a wake delay suppressed.
+    """
+    if alive is not None:
+        delivered &= alive
+    jammed = cf.jam_indices.get(step)
+    if jammed is not None and jammed.size:
+        delivered[:, jammed] = False
+    lost = delayed = np.zeros(delivered.shape[0], dtype=np.int64)
+    if cf.loss_probability > 0.0 and delivered.any():
+        dropped = delivered & (cf.loss_coins.uniform(step) < cf.loss_probability)
+        lost = dropped.sum(axis=1)
+        delivered &= ~dropped
+    newly = delivered & ~awake
+    if cf.has_delays:
+        deaf = newly & (step < cf.deaf_until)
+        delayed = deaf.sum(axis=1)
+        newly &= ~deaf
+    return newly, (delivered & awake) | newly, lost, delayed

@@ -1,10 +1,10 @@
 """Multi-slot macro-step execution for oblivious algorithms.
 
-The per-slot cost of :class:`~repro.sim.fast.FastEngine` has two parts
-that stop mattering being cheap at 10^5-10^6 nodes: a dense O(n) coin /
-mask evaluation per slot, and an O(E) sparse matrix-vector product per
-slot — paid even in slots where three nodes transmit.  This module
-removes both:
+The per-slot cost of a single run on
+:class:`~repro.sim.fast.BatchedFastEngine` has two parts that stop
+being cheap at 10^5-10^6 nodes: a Python call into the algorithm plus
+O(n) mask arithmetic per slot, and per-slot channel resolution — paid
+even in slots where three nodes transmit.  This module removes both:
 
 * **Macro plans.**  An oblivious schedule's slot decisions depend only on
   ``(step, label, wake slot, coins)``.  For the schedules in this repo
@@ -32,9 +32,10 @@ implementation (always available) and an optional numba ``@njit`` kernel
 call.  ``backend="auto"`` picks numba when importable; both are held to
 bit-identity by the conformance suite.
 
-Instrumented runs (fault plans, metrics, traces, timings) execute on
-:class:`~repro.sim.fast.FastEngine` with the macro plan *adapted back*
-into dense per-slot masks — one code path owns the fault/trace
+Instrumented runs (fault plans, metrics, traces, timings) execute through
+:func:`~repro.sim.fast.run_broadcast_fast` — a one-trial
+:class:`~repro.sim.fast.BatchedFastEngine` — with the macro plan *adapted
+back* into dense per-slot masks: one code path owns the fault/trace
 semantics, and the conformance matrix exercises the plan decode against
 the reference engine under every plan/trace combination.
 """
@@ -135,8 +136,9 @@ def resolve_macro_backend(backend: str = "auto") -> str:
 class _PlanAdaptedAlgorithm:
     """Serve a macro plan back as dense per-slot ``transmit_mask`` calls.
 
-    Instrumented macro runs execute on :class:`~repro.sim.fast.FastEngine`
-    with the algorithm wrapped in this adapter, so the *plan decode* —
+    Instrumented macro runs execute on a one-trial
+    :class:`~repro.sim.fast.BatchedFastEngine` with the algorithm wrapped
+    in this adapter, so the *plan decode* —
     not the original ``transmit_mask`` — is what the conformance matrix
     holds to reference identity under faults and FULL traces.  The dense
     masks it produces equal the original ``transmit_mask`` masks after
@@ -188,7 +190,7 @@ class MacroStepEngine:
     dispatch into the algorithm (when it provides ``macro_plan``),
     settle-checks inside the block, and resolves the channel by
     transmitter gather.  Produces exactly the wake slots of
-    ``FastEngine(network, algorithm, seed)`` — asserted by the
+    ``run_broadcast_fast(network, algorithm, seed)`` — asserted by the
     conformance suite and the large-n spot checks.
 
     Args:
@@ -262,7 +264,7 @@ class MacroStepEngine:
         self.trace = Trace(level=TraceLevel.NONE)
         self.trace.mark_initially_informed(network.source)
 
-    # -- result surface (FastEngine-compatible) ---------------------------
+    # -- result surface --------------------------------------------------
 
     @property
     def all_informed(self) -> bool:
@@ -298,7 +300,7 @@ class MacroStepEngine:
 
     def run(self, max_steps: int) -> int:
         """Run until every node is informed or the limit; returns slots
-        executed (identical to ``FastEngine.run`` with settle-stop)."""
+        executed (identical to the batched engine's settle-stop run)."""
         executed = 0
         while executed < max_steps and self._awake_count < self.n:
             count = min(self.block_size, max_steps - executed)
@@ -530,7 +532,8 @@ def run_broadcast_macro(
       execute on :class:`MacroStepEngine` — the compiled path this module
       exists for, on the numpy or numba backend per ``backend``.
     * **Instrumented runs** execute on
-      :class:`~repro.sim.fast.FastEngine` with the macro plan adapted
+      :func:`~repro.sim.fast.run_broadcast_fast` (a one-trial
+      :class:`~repro.sim.fast.BatchedFastEngine`) with the macro plan adapted
       back into dense masks, so fault/trace/metric semantics live in
       exactly one engine and the plan decode itself is conformance-tested
       under every fault and trace combination.

@@ -97,9 +97,8 @@ class CSRNetwork:
     :class:`~repro.sim.network.RadioNetwork` into, which is what lets the
     kernel adopt these arrays as-is (zero-copy) via :meth:`csr_arrays`.
 
-    The vectorised engines (:class:`~repro.sim.fast.FastEngine`,
-    :class:`~repro.sim.fast.BatchedFastEngine`, and the macro-step path)
-    run on a ``CSRNetwork`` directly.  The per-node reference engines
+    The vectorised engines (:class:`~repro.sim.fast.BatchedFastEngine`
+    and the macro-step path) run on a ``CSRNetwork`` directly.  The per-node reference engines
     need dict neighbour maps; convert with :meth:`to_radio_network`
     (small instances only).
 

@@ -1,12 +1,14 @@
-"""Cross-engine conformance harness: one semantics, five execution strategies.
+"""Cross-engine conformance harness: one semantics, many execution strategies.
 
 Every engine in the repo — the per-node reference
-:class:`~repro.sim.engine.SynchronousEngine`, the vectorised
-:class:`~repro.sim.fast.FastEngine` and multi-trial
-:class:`~repro.sim.fast.BatchedFastEngine`, the adaptive serial
-:class:`~repro.sim.event.EventDrivenEngine`, and the adaptive batched
-:class:`~repro.sim.batched_event.BatchedEventEngine` — is a pure
-execution strategy over the same synchronous radio semantics.  This
+:class:`~repro.sim.engine.SynchronousEngine`, the vectorised multi-trial
+:class:`~repro.sim.fast.BatchedFastEngine` (registered twice: ``"fast"``
+runs each seed as a one-trial batch through ``run_broadcast_fast``,
+``"batched_fast"`` runs all seeds as one batch), the adaptive serial
+:class:`~repro.sim.event.EventDrivenEngine`, the adaptive batched
+:class:`~repro.sim.batched_event.BatchedEventEngine`, and the macro-step
+engine — is a pure execution strategy over the same synchronous radio
+semantics.  This
 module is the shared substrate the differential tests are built from:
 
 * the canonical **matrices** (oblivious algorithms, adaptive protocol

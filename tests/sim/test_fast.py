@@ -1,4 +1,8 @@
-"""Vectorised engine: semantics and cross-engine equivalence."""
+"""Vectorised engine: semantics and cross-engine equivalence.
+
+The rule-by-rule tests drive :class:`BatchedFastEngine` as a one-trial
+batch, the form in which :func:`run_broadcast_fast` executes single runs.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ from hypothesis import strategies as st
 from repro.baselines.round_robin import RoundRobinBroadcast
 from repro.baselines.selective_schedule import SelectiveFamilyBroadcast
 from repro.sim.errors import ConfigurationError
-from repro.sim.fast import ASLEEP, BatchedFastEngine, FastEngine, run_broadcast_fast
+from repro.sim.fast import ASLEEP, BatchedFastEngine, run_broadcast_fast
 from repro.sim.network import RadioNetwork
 from repro.sim.run import run_broadcast
 from repro.topology import gnp_connected, grid, path, star, uniform_complete_layered
@@ -30,6 +34,11 @@ class _MaskSchedule:
         return np.isin(labels, list(wanted)) if wanted else np.zeros(len(labels), bool)
 
 
+def _single(net, algorithm, seed=0):
+    """A one-trial batch: the engine behind ``run_broadcast_fast``."""
+    return BatchedFastEngine(net, algorithm, seeds=[seed])
+
+
 def test_rejects_non_vectorized_algorithm():
     net = path(3)
 
@@ -38,31 +47,31 @@ def test_rejects_non_vectorized_algorithm():
         deterministic = True
 
     with pytest.raises(ConfigurationError):
-        FastEngine(net, NotVectorized())
+        _single(net, NotVectorized())
 
 
 def test_exactly_one_rule_and_wake_progression():
     net = star(4)
-    engine = FastEngine(net, _MaskSchedule({0: {0}}))
+    engine = _single(net, _MaskSchedule({0: {0}}))
     engine.run_step()
     assert engine.all_informed
-    assert engine.completion_time == 1
+    assert engine.completion_times() == [1]
 
 
 def test_collision_blocks_wake():
     # Nodes 1, 2 adjacent to 3; both transmit at step 1 -> 3 not woken.
     net = RadioNetwork.undirected(range(4), [(0, 1), (0, 2), (1, 3), (2, 3)])
-    engine = FastEngine(net, _MaskSchedule({0: {0}, 1: {1, 2}}))
+    engine = _single(net, _MaskSchedule({0: {0}, 1: {1, 2}}))
     engine.run_step()
     engine.run_step()
     assert not engine.all_informed
-    assert engine.informed_count == 3
+    assert list(engine.informed_counts()) == [3]
 
 
 def test_no_spontaneous_transmission_in_fast_engine():
     # Schedule says node 2 transmits at step 0, but it is asleep.
     net = path(3)
-    engine = FastEngine(net, _MaskSchedule({0: {2}}))
+    engine = _single(net, _MaskSchedule({0: {2}}))
     mask = engine.run_step()
     assert not mask.any()
 
@@ -70,20 +79,20 @@ def test_no_spontaneous_transmission_in_fast_engine():
 def test_wake_this_step_cannot_transmit_same_step():
     # Node 1 woken at step 0 by the source; schedule wants 1 at step 0 too.
     net = path(3)
-    engine = FastEngine(net, _MaskSchedule({0: {0, 1}, 1: {1}}))
+    engine = _single(net, _MaskSchedule({0: {0, 1}, 1: {1}}))
     mask0 = engine.run_step()
-    assert list(engine.labels[mask0]) == [0]
+    assert list(engine.labels[mask0[0]]) == [0]
     mask1 = engine.run_step()
-    assert list(engine.labels[mask1]) == [1]
-    assert engine.completion_time == 2
+    assert list(engine.labels[mask1[0]]) == [1]
+    assert engine.completion_times() == [2]
 
 
 def test_asleep_sentinel_and_wake_times():
     net = path(3)
-    engine = FastEngine(net, _MaskSchedule({0: {0}}))
-    assert engine.wake_steps[2] == ASLEEP
+    engine = _single(net, _MaskSchedule({0: {0}}))
+    assert engine.wake_steps[0, 2] == ASLEEP
     engine.run_step()
-    assert engine.wake_times() == {0: -1, 1: 0}
+    assert engine.wake_times(0) == {0: -1, 1: 0}
 
 
 @pytest.mark.parametrize(
@@ -118,10 +127,10 @@ def test_cross_engine_equivalence_selective_family():
 
 def test_directed_network_fast_engine():
     net = RadioNetwork.directed([0, 1, 2], [(0, 1), (1, 2)])
-    engine = FastEngine(net, _MaskSchedule({0: {0}, 1: {1}}))
+    engine = _single(net, _MaskSchedule({0: {0}, 1: {1}}))
     engine.run(10)
     assert engine.all_informed
-    assert engine.completion_time == 2
+    assert engine.completion_times() == [2]
 
 
 def test_run_broadcast_fast_incomplete_result():

@@ -20,7 +20,7 @@ from repro.sim import (
     run_broadcast,
     save_result,
 )
-from repro.sim.fast import ASLEEP, FastEngine
+from repro.sim.fast import ASLEEP, BatchedFastEngine
 from repro.sim.faults import FaultCounters, derive_fault_seed
 from repro.topology import gnp_connected, path, star
 
@@ -218,17 +218,17 @@ def test_crashed_node_never_transmits_after_crash_slot(case, seed):
     engine.run(60)
     assert not violations
 
-    fast = FastEngine(net, BGIBroadcast(net.r), seed=seed, faults=plan)
+    fast = BatchedFastEngine(net, BGIBroadcast(net.r), seeds=[seed], faults=plan)
     idx = {label: i for i, label in enumerate(fast.labels)}[crashed]
     for step in range(60):
         if fast.all_settled:
             break
         mask = fast.run_step()
         if step >= crash_slot:
-            assert not mask[idx], (step, crashed)
+            assert not mask[0, idx], (step, crashed)
     # And a crashed-while-asleep node must still be asleep at the end.
     if crashed not in engine.wake_times:
-        assert fast.wake_steps[idx] == ASLEEP
+        assert fast.wake_steps[0, idx] == ASLEEP
 
     # Batched event engine: every trial's hook stream is crash-clean too.
     from repro.sim import BatchedEventEngine

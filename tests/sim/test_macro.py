@@ -1,5 +1,5 @@
 """Macro-step engine: block-size invariance, backend parity, the memory
-guard, and large-n spot checks against FastEngine.
+guard, and large-n spot checks against ``run_broadcast_fast``.
 
 The full cross-engine matrix (including faults, traces and metrics for
 the instrumented macro path) lives in ``test_conformance.py``; this
@@ -145,8 +145,9 @@ class TestMemoryGuard:
 
 class TestLargeNSpotChecks:
     """Slot-for-slot identity at sizes the conformance matrix never
-    visits.  ``max_steps`` is capped so the FastEngine side stays cheap;
-    partial-run identity is the same property, checked on a prefix."""
+    visits.  ``max_steps`` is capped so the ``run_broadcast_fast`` side
+    stays cheap; partial-run identity is the same property, checked on a
+    prefix."""
 
     def test_gnp_50k_identity(self):
         n = 50_000

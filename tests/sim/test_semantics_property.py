@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import SynchronousEngine
-from repro.sim.fast import FastEngine
+from repro.sim.fast import BatchedFastEngine
 from repro.sim.network import RadioNetwork
 from repro.sim.protocol import BroadcastAlgorithm, ObliviousTransmitter
 
@@ -95,6 +95,6 @@ def test_engines_match_brute_force_oracle(n, seed):
     engine.run(horizon, stop_when_informed=False)
     assert engine.wake_times == expected
 
-    fast = FastEngine(net, algorithm)
+    fast = BatchedFastEngine(net, algorithm, seeds=[0])
     fast.run(horizon, stop_when_informed=False)
-    assert fast.wake_times() == expected
+    assert fast.wake_times(0) == expected
