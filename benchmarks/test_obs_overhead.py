@@ -8,10 +8,12 @@ must stay bit-identical — instrumentation observes, never perturbs —
 and the measured overhead ratio is recorded so future PRs inherit a
 perf trajectory rather than a single anecdote.
 
-The workload and timing protocol come from the shared benchmark
-registry (:mod:`repro.obs.suite` / :mod:`repro.obs.bench`): the
-``batched_engine`` and ``obs_overhead`` entries that ``repro bench``
-runs measure exactly what this test measures.
+The workload comes from the shared benchmark registry
+(:mod:`repro.obs.suite`): the ``batched_engine`` and ``obs_overhead``
+entries that ``repro bench`` runs measure exactly what this test
+measures.  The two sides are timed alternately, repeat by repeat, so
+drift of the host lands on both; each side's best repeat enters the
+ratio.
 
 Wall-clock assertions against the committed baseline only run when
 ``REPRO_BENCH_STRICT=1`` (dedicated benchmark hardware); shared CI
@@ -24,9 +26,10 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import time
 
 from repro.analysis import render_table
-from repro.obs.bench import Benchmark, environment_fingerprint, run_benchmark
+from repro.obs.bench import environment_fingerprint
 from repro.obs.suite import batched_workload, obs_overhead_workload
 
 BENCH_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_obs.json"
@@ -48,17 +51,13 @@ def test_metrics_overhead_and_bench_baseline(table_reporter):
     ]
 
     env = environment_fingerprint()
-    off_record = run_benchmark(
-        Benchmark("obs_overhead_off", lambda quick: plain,
-                  repeats=REPEATS, warmup=0),
-        env=env,
-    )
-    on_record = run_benchmark(
-        Benchmark("obs_overhead_on", lambda quick: instrumented,
-                  repeats=REPEATS, warmup=0),
-        env=env,
-    )
-    off_s, on_s = off_record["min_s"], on_record["min_s"]
+    off_times, on_times = [], []
+    for _ in range(REPEATS):
+        for thunk, times in ((plain, off_times), (instrumented, on_times)):
+            start = time.perf_counter()
+            thunk()
+            times.append(time.perf_counter() - start)
+    off_s, on_s = min(off_times), min(on_times)
 
     slots = sum(r.time for r in plain_results)
     overhead = on_s / off_s

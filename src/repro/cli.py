@@ -98,6 +98,7 @@ def _build_topology(args: argparse.Namespace):
 
     n, depth, seed = args.n, args.depth, args.topology_seed
     avg_degree = getattr(args, "avg_degree", 6.0)
+    allow_large = getattr(args, "allow_large", False)
     builders: dict[str, Callable[[], object]] = {
         "path": lambda: topology.path(n),
         "star": lambda: topology.star(n),
@@ -110,11 +111,14 @@ def _build_topology(args: argparse.Namespace):
         # CSR-native builders: same distributions, flat-array construction;
         # required for million-node topologies (see docs/PERFORMANCE.md).
         "gnp-csr": lambda: topology.gnp_random_csr(
-            n, min(0.9, avg_degree / n), seed=seed,
-            allow_large=getattr(args, "allow_large", False),
+            n, min(0.9, avg_degree / n), seed=seed, allow_large=allow_large,
         ),
-        "layered-csr": lambda: topology.uniform_complete_layered_csr(n, depth),
-        "km-layered-csr": lambda: topology.km_hard_layered_csr(n, depth, seed=seed),
+        "layered-csr": lambda: topology.uniform_complete_layered_csr(
+            n, depth, allow_large=allow_large,
+        ),
+        "km-layered-csr": lambda: topology.km_hard_layered_csr(
+            n, depth, seed=seed, allow_large=allow_large,
+        ),
     }
     if args.topology not in builders:
         raise SystemExit(f"unknown topology {args.topology!r}; choose from {sorted(builders)}")
@@ -905,8 +909,8 @@ def main(argv: list[str] | None = None) -> int:
                             "large n — see docs/PERFORMANCE.md)")
     p_run.add_argument("--allow-large", action="store_true",
                        help="override the estimated-memory guard for FULL "
-                            "traces / dense metrics / gnp-csr generation at "
-                            "very large n")
+                            "traces / dense metrics / CSR topology "
+                            "generation at very large n")
     p_run.add_argument("--trace", action="store_true", help="print the channel trace")
     p_run.add_argument("--trace-steps", type=int, default=60)
     p_run.add_argument("--load-network", metavar="FILE",
@@ -1105,9 +1109,9 @@ def main(argv: list[str] | None = None) -> int:
     _add_topology_args(p_prof_run)
     p_prof_run.add_argument("--algorithm", default="kp", choices=ALGORITHM_CHOICES)
     p_prof_run.add_argument("--engine", default="auto",
-                            choices=["auto", "batch", "reference"],
-                            help="engine to profile (auto/batch run all "
-                                 "trials as one batch: the array engine for "
+                            choices=["auto", "reference"],
+                            help="engine to profile (auto runs all trials "
+                                 "as one batch: the array engine for "
                                  "vectorised algorithms, the batched event "
                                  "engine otherwise; reference forces the "
                                  "serial per-node engine)")

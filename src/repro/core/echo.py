@@ -266,10 +266,9 @@ class QuietEchoSchedule:
     :data:`~repro.sim.protocol.QUIET_FOREVER` safe (contract:
     ``docs/MODEL.md``).
 
-    The hint is hot in batched runs — every execution class re-polls its
-    busy nodes each shared-clock iteration — so the common case (a
-    transmission scheduled for the current slot) short-circuits before
-    the scheduled-dict scan.
+    The hint is hot — the event engine re-polls busy nodes every slot —
+    so the common case (a transmission scheduled for the current slot)
+    short-circuits before the scheduled-dict scan.
     """
 
     def quiet_until(self, step: int) -> int:

@@ -41,7 +41,7 @@ def run(quick: bool = False) -> ExperimentReport:
             # the reference run bit for bit, faster (deterministic, so
             # one run covers the Monte-Carlo estimate exactly).
             (ss,) = repeat_broadcast(
-                net, SelectAndSend(), runs=1, engine="batch",
+                net, SelectAndSend(), runs=1,
                 require_completion=True,
             )
             dfs = run_broadcast(net, KnownNeighborsDFS(net), require_completion=True)

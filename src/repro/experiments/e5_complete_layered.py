@@ -39,7 +39,7 @@ def run(quick: bool = False) -> ExperimentReport:
         # path routes it through the batched event engine, one run
         # covering the estimate bit-identically to the reference.
         (result,) = repeat_broadcast(
-            net, CompleteLayeredBroadcast(), runs=1, engine="batch",
+            net, CompleteLayeredBroadcast(), runs=1,
             require_completion=True,
         )
         rows.append([
@@ -74,7 +74,7 @@ def run(quick: bool = False) -> ExperimentReport:
         # path routes it through the batched event engine, one run
         # covering the estimate bit-identically to the reference.
         (result,) = repeat_broadcast(
-            net, CompleteLayeredBroadcast(), runs=1, engine="batch",
+            net, CompleteLayeredBroadcast(), runs=1,
             require_completion=True,
         )
         claimed = claimed_cms_undirected_bound(n, d)
@@ -100,7 +100,7 @@ def run(quick: bool = False) -> ExperimentReport:
         # path routes it through the batched event engine, one run
         # covering the estimate bit-identically to the reference.
         (result,) = repeat_broadcast(
-            net, CompleteLayeredBroadcast(), runs=1, engine="batch",
+            net, CompleteLayeredBroadcast(), runs=1,
             require_completion=True,
         )
         rows3.append([seed, result.time,

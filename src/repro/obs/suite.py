@@ -96,11 +96,11 @@ def obs_overhead_workload(quick: bool = False):
     net, algorithm, trials = batched_workload(quick)
 
     def plain():
-        return repeat_broadcast(net, algorithm, runs=trials, engine="batch")
+        return repeat_broadcast(net, algorithm, runs=trials)
 
     def instrumented():
         return repeat_broadcast(
-            net, algorithm, runs=trials, engine="batch", metrics=MetricsRegistry()
+            net, algorithm, runs=trials, metrics=MetricsRegistry()
         )
 
     return plain, instrumented
@@ -122,13 +122,13 @@ def telemetry_overhead_workload(quick: bool = False):
     net, algorithm, trials = batched_workload(quick)
 
     def plain():
-        return repeat_broadcast(net, algorithm, runs=trials, engine="batch")
+        return repeat_broadcast(net, algorithm, runs=trials)
 
     def telemetered():
         recorder = SpanRecorder(sink=lambda event: None)
         with recorder.span("point", "point"):
             return repeat_broadcast(
-                net, algorithm, runs=trials, engine="batch", spans=recorder
+                net, algorithm, runs=trials, spans=recorder
             )
 
     return plain, telemetered
@@ -206,7 +206,7 @@ def _batched_engine(quick: bool):
     from ..sim import repeat_broadcast
 
     net, algorithm, trials = batched_workload(quick)
-    return lambda: repeat_broadcast(net, algorithm, runs=trials, engine="batch")
+    return lambda: repeat_broadcast(net, algorithm, runs=trials)
 
 
 @register(

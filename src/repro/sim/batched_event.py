@@ -1,17 +1,12 @@
-"""Batched event-driven engine: Monte-Carlo trials with slot compression.
+"""Batched event-driven engine: Monte-Carlo trials of adaptive protocols.
 
 :class:`~repro.sim.event.EventDrivenEngine` makes one adaptive run cheap
 by polling only the nodes whose ``quiet_until`` promise expired and
-fast-forwarding provably silent slots; :class:`~repro.sim.fast.
-BatchedFastEngine` makes many *oblivious* trials cheap by lifting state
-to ``(trials, n)`` arrays.  This engine combines the two ideas for the
-adaptive protocols the array engines cannot run: a batch of trials
-advances on one shared clock, every trial keeps its own promise heap, and
-whenever *all* trials are quiet the whole batch jumps to the minimum next
-promise expiry (capped at :meth:`~repro.sim.faults.FaultPlan.event_slots`
-boundaries and the step budget) in a single vectorised fast-forward,
-synthesizing the skipped slots into metrics, traces, and step hooks
-exactly as slot-by-slot execution would have.
+fast-forwarding provably silent slots.  This engine runs a batch of such
+trials for the adaptive protocols the array engines cannot run: it groups
+the trials into execution classes and runs each class to its end on
+:meth:`EventDrivenEngine.run <repro.sim.event.EventDrivenEngine.run>`,
+the one event loop, one class after the other.
 
 Trial ``i`` of a batch is **slot-for-slot identical** to a serial
 ``EventDrivenEngine`` run with seed ``seeds[i]`` — batching is an
@@ -26,28 +21,25 @@ loops glued together:
    and a seed reaches an execution through exactly two doors: the
    per-node RNGs (:func:`~repro.sim.coins.derive_node_rng`) and the
    per-trial message-loss stream
-   (:func:`~repro.sim.faults.derive_fault_seed`).  When the algorithm is
-   :attr:`~repro.sim.protocol.BroadcastAlgorithm.deterministic` (never
-   consults its RNG) and the fault plan has no loss component, *every*
+   (:func:`~repro.sim.faults.derive_fault_seed`).  When
+   :func:`~repro.sim.faults.trials_identical` holds (the algorithm never
+   consults its RNG and the fault plan has no loss component), *every*
    trial is provably the same execution — one representative run serves
    the whole batch, with per-trial results replicated in O(1) and the
    metric tallies merged with multiplicity
    (:meth:`~repro.obs.metrics.MetricsRegistry.merge` with ``weight``).
    Otherwise trials are grouped by seed value: equal seeds are still
    provably identical, distinct seeds get genuinely independent runs.
-   This mirrors the long-standing collapse in
-   :func:`~repro.sim.run.repeat_broadcast` — same rule, same soundness
-   argument — but keeps per-trial traces, hooks, and counters available.
+   :func:`~repro.sim.run.repeat_broadcast` applies the same rule.
 
 2. **Shared topology compilation.**  All classes resolve the channel
    through one :class:`~repro.sim.channel.ChannelKernel` (CSR arrays are
-   compiled once per batch); classes are stepped sequentially within a
-   slot, so the kernel's scratch buffers are never shared concurrently.
+   compiled once per batch); classes run one after the other, so the
+   kernel's scratch buffers are never shared concurrently.
 
 Select via ``run_broadcast_batch(..., engine="batched_event")`` (or let
 ``engine="auto"`` pick it for non-vectorisable algorithms);
-``docs/PERFORMANCE.md`` covers the cost model, including the worst case
-when desynchronised classes deny the batch-wide jump.
+``docs/PERFORMANCE.md`` covers the cost model.
 """
 
 from __future__ import annotations
@@ -59,7 +51,7 @@ from ..obs.timings import Timings
 from .channel import ChannelKernel
 from .errors import ConfigurationError, ProtocolViolationError
 from .event import EventDrivenEngine
-from .faults import FaultCounters, FaultPlan
+from .faults import FaultCounters, FaultPlan, trials_identical
 from .network import RadioNetwork
 from .protocol import BroadcastAlgorithm
 from .trace import Trace, TraceLevel
@@ -103,7 +95,7 @@ def _fan_out_hook(
 
 
 class BatchedEventEngine:
-    """Run ``T`` adaptive Monte-Carlo trials on one shared, compressed clock.
+    """Run ``T`` adaptive Monte-Carlo trials, one event run per execution class.
 
     Args:
         network: Topology (directed or undirected).
@@ -121,8 +113,8 @@ class BatchedEventEngine:
             the run the private registries are merged in with
             multiplicity = class size, so the shared registry holds
             exactly what ``T`` serial event-engine runs would have
-            recorded in aggregate (call :meth:`flush_metrics`, or use
-            :meth:`run`, which does).
+            recorded in aggregate (:meth:`run` merges them through
+            :meth:`flush_metrics`).
         timings: Optional :class:`~repro.obs.timings.Timings`, shared by
             the whole batch (stage costs are joint across trials).
         trace_level: Channel detail to record; collapsed trials share
@@ -132,7 +124,7 @@ class BatchedEventEngine:
         step_hooks: Optional per-trial ``(step, transmitters)`` callbacks,
             one entry per trial (``None`` entries allowed).  Trial ``i``'s
             hook sees exactly the stream a serial run would produce,
-            synthesized slots included.
+            silent slots included.
     """
 
     def __init__(
@@ -192,17 +184,12 @@ class BatchedEventEngine:
     def _group_trials(self) -> dict[int, list[int]]:
         """Partition trial indices into provably-identical execution classes.
 
-        Returns ``representative seed -> member trial indices``.  The
-        collapse-all rule requires ``algorithm.deterministic`` (the
-        protocol never consults its RNG) and a loss-free plan (loss is
-        the only fault stream keyed by the trial seed); it is the same
-        condition :func:`~repro.sim.run.repeat_broadcast` has always used
-        to run deterministic algorithms once.  Failing that, trials with
-        equal seeds are still byte-identical executions and share a class.
+        Returns ``representative seed -> member trial indices``: the whole
+        batch when :func:`~repro.sim.faults.trials_identical` holds, else
+        one class per distinct seed (equal seeds are byte-identical
+        executions).
         """
-        deterministic = bool(getattr(self.algorithm, "deterministic", False))
-        lossless = self.faults is None or self.faults.loss_probability == 0.0
-        if deterministic and lossless:
+        if trials_identical(self.algorithm, self.faults):
             return {self.seeds[0]: list(range(self.trials))}
         groups: dict[int, list[int]] = {}
         for trial, seed in enumerate(self.seeds):
@@ -218,11 +205,6 @@ class BatchedEventEngine:
         return len(self._classes)
 
     @property
-    def trials_settled(self) -> list[bool]:
-        """Per-trial: no further wake possible (informed or dead asleep)."""
-        return [self._class_of[t].engine.all_settled for t in range(self.trials)]
-
-    @property
     def all_settled(self) -> bool:
         return all(cls.engine.all_settled for cls in self._classes)
 
@@ -230,85 +212,38 @@ class BatchedEventEngine:
     def all_informed(self) -> bool:
         return all(cls.engine.all_informed for cls in self._classes)
 
-    def informed_counts(self) -> list[int]:
-        return [
-            self._class_of[t].engine.informed_count for t in range(self.trials)
-        ]
-
     # ------------------------------------------------------------------
 
     def run(self, max_steps: int, stop_when_informed: bool = True) -> int:
-        """Advance every unsettled trial on the shared clock.
+        """Run each execution class on :meth:`EventDrivenEngine.run`, in turn.
 
-        Per iteration each live class reports its next event slot — the
-        earliest promise expiry from its heap, capped at the next
-        scheduled fault slot.  If the minimum over classes lies in the
-        future, **all** live classes fast-forward there in one jump
-        (``_skip_silent`` synthesizes the skipped slots per trial);
-        otherwise due classes execute the slot and quiet ones synthesize
-        it, keeping every live engine on the same clock.  Settled classes
-        freeze exactly where their serial runs would have stopped.
+        Classes share nothing mutable but the compiled channel kernel, so
+        each one advances by up to ``max_steps`` slots on its own clock
+        and stops exactly where its serial runs would have.
 
         A :class:`~repro.sim.errors.ProtocolViolationError` aborts only
         its own class; the remaining classes run to completion, and the
         error of the lowest aborted trial index is re-raised — the same
         error a serial seed-order loop would have surfaced first.
 
-        Returns the number of shared-clock slots executed (synthesized
-        slots count: they *were* simulated, in one jump).
+        Returns the slots executed in this call: the largest advance of
+        any class (silent slots count, as on the serial engine).
         """
         if max_steps < 0:
             raise ConfigurationError(
                 f"max_steps must be non-negative, got {max_steps}"
             )
         executed = 0
-        while executed < max_steps:
-            live = [
-                cls
-                for cls in self._classes
-                if cls.error is None
-                and not (stop_when_informed and cls.engine.all_settled)
-            ]
-            if not live:
-                break
-            # Invariant: live engines share one clock — they all started at
-            # slot 0 and advance in lock-step below; only settled or
-            # aborted classes fall behind, frozen at their stopping slot.
-            step = live[0].engine.step
-            target = step + (max_steps - executed)
-            next_events = []
-            for cls in live:
-                engine = cls.engine
-                upcoming = engine._next_poll_slot()
-                if engine._fault_events:
-                    fault_slot = engine._next_fault_slot(step)
-                    if fault_slot < upcoming:
-                        upcoming = fault_slot
-                next_events.append(upcoming)
-                if upcoming < target:
-                    target = upcoming
-            if target > step:
-                # Batch-wide fast-forward: every live trial is quiet until
-                # ``target`` (and no fault event lands before it), so the
-                # whole batch jumps in one step.
-                jump = target - step
-                for cls in live:
-                    cls.engine._skip_silent(jump)
-                executed += jump
+        for cls in self._classes:
+            if cls.error is not None:
                 continue
-            for cls, upcoming in zip(live, next_events):
-                if upcoming > step:
-                    # This class is quiet this slot but another one is not;
-                    # synthesize the slot to keep the shared clock aligned.
-                    # Chunked single-slot skips produce byte-identical
-                    # instrumentation to one large jump.
-                    cls.engine._skip_silent(1)
-                    continue
-                try:
-                    cls.engine.run_step()
-                except ProtocolViolationError as exc:
-                    cls.error = exc
-            executed += 1
+            engine = cls.engine
+            start = engine.step
+            try:
+                engine.run(max_steps, stop_when_informed)
+            except ProtocolViolationError as exc:
+                cls.error = exc
+            executed = max(executed, engine.step - start)
         self.flush_metrics()
         first_failed = min(
             (cls for cls in self._classes if cls.error is not None),
@@ -324,9 +259,9 @@ class BatchedEventEngine:
 
         Counters and histogram tallies are folded in with multiplicity =
         class size, so the shared registry equals the aggregate of ``T``
-        serial event-engine runs exactly.  One-shot (the class registries
-        are consumed); :meth:`run` calls it, manual steppers must call it
-        before snapshotting.  Batches of more than one trial also set
+        serial event-engine runs exactly.  One-shot: the class registries
+        keep accumulating, so a second merge would count them twice.
+        Batches of more than one trial also set
         ``batch_active_trials`` to the current unsettled count, mirroring
         the batched fast engine.
         """
@@ -381,7 +316,3 @@ class BatchedEventEngine:
             self._class_of[t].engine.transmission_counts()
             for t in range(self.trials)
         ]
-
-    def error_for(self, trial: int) -> ProtocolViolationError | None:
-        """The violation that aborted this trial's class, if any."""
-        return self._class_of[trial].error

@@ -80,7 +80,7 @@ class EventDrivenEngine(SynchronousEngine):
     (:class:`~repro.sim.batched_event.BatchedEventEngine`) compiles the
     CSR arrays once per batch, not once per trial.  Sharing is safe for
     engines stepped *sequentially* (the kernel keeps per-resolve scratch
-    buffers), which is how the batch steps its trials.
+    buffers), which is how the batch runs its classes.
     """
 
     def __init__(

@@ -644,7 +644,7 @@ def run_broadcast_batch(
       :class:`BatchedFastEngine`; oblivious
       (:class:`VectorizedAlgorithm`) algorithms only, trial ``i``
       reproduces ``run_broadcast_fast(..., seed=seeds[i])``.
-    * ``"batched_event"`` — the shared-clock
+    * ``"batched_event"`` — the
       :class:`~repro.sim.batched_event.BatchedEventEngine`; any
       protocol-based algorithm, trial ``i`` reproduces
       ``run_broadcast(..., seed=seeds[i], engine="event")`` slot for

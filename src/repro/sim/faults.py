@@ -52,12 +52,14 @@ import numpy as np
 from .coins import CoinSource, coin_uniform, node_key
 from .errors import ConfigurationError
 from .network import RadioNetwork
+from .protocol import BroadcastAlgorithm
 
 __all__ = [
     "FaultPlan",
     "FaultCounters",
     "CompiledFaults",
     "derive_fault_seed",
+    "trials_identical",
     "compile_faults",
     "apply_delivery_faults",
 ]
@@ -76,6 +78,19 @@ def derive_fault_seed(plan_seed: int, run_seed: int) -> int:
     (:class:`~repro.sim.coins.CoinSource`) loss coins agree bit for bit.
     """
     return node_key(plan_seed, run_seed)
+
+
+def trials_identical(algorithm: BroadcastAlgorithm, faults: FaultPlan | None) -> bool:
+    """Whether every trial seed yields the same execution.
+
+    A trial's seed reaches an execution only through the per-node RNGs
+    and the per-run loss stream (:func:`derive_fault_seed`), so a
+    ``deterministic`` algorithm (it never consults its RNG) under a plan
+    without message loss runs identically for every seed.
+    """
+    return algorithm.deterministic and (
+        faults is None or faults.loss_probability == 0.0
+    )
 
 
 def _normalize_pairs(pairs: Any, what: str) -> tuple[tuple[int, int], ...]:

@@ -22,7 +22,7 @@ from ..obs.timings import Timings
 from .coins import derive_node_rng, derive_trial_seeds
 from .engine import SynchronousEngine
 from .errors import BroadcastIncompleteError, ConfigurationError
-from .faults import FaultCounters, FaultPlan
+from .faults import FaultCounters, FaultPlan, trials_identical
 from .guard import check_memory_budget
 from .network import RadioNetwork
 from .protocol import BroadcastAlgorithm
@@ -326,24 +326,22 @@ def repeat_broadcast(
     """Run the same broadcast ``runs`` times with seeds ``base_seed + i``.
 
     Used to estimate expected broadcasting time (Corollary 1) and its
-    spread.  Deterministic algorithms are detected and run only once — all
-    repetitions would be identical.  (Under a lossy fault plan even a
-    deterministic algorithm's trials differ — the loss stream is keyed by
-    the trial seed — so the collapse only applies when loss is off.)
+    spread.  When every repetition would be identical (a deterministic
+    algorithm under a loss-free plan, see
+    :func:`~repro.sim.faults.trials_identical`) the broadcast runs once.
 
     Unless ``engine="reference"`` is forced, all trials execute as one
     batch through :func:`~repro.sim.fast.run_broadcast_batch`: oblivious
     algorithms (anything implementing
     :class:`~repro.sim.fast.VectorizedAlgorithm`) as a ``(trials, n)``
-    array program, every other algorithm through the shared-clock
+    array program, every other algorithm through the
     :class:`~repro.sim.batched_event.BatchedEventEngine`.  Per-trial
     results are identical to the serial path, only faster.
 
     Args:
-        engine: ``"auto"`` or ``"batch"`` (run all trials as one batch —
-            the two are now synonyms, kept for call-site compatibility),
-            or ``"reference"`` (force the serial per-node engine, e.g.
-            for benchmarking the batch paths against it).
+        engine: ``"auto"`` (run all trials as one batch) or
+            ``"reference"`` (force the serial per-node engine, e.g. for
+            benchmarking the batch paths against it).
         faults: Optional :class:`~repro.sim.faults.FaultPlan` applied to
             every trial (the loss realisation still differs per trial).
         metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`
@@ -357,9 +355,9 @@ def repeat_broadcast(
     """
     if runs < 1:
         raise ConfigurationError(f"runs must be positive, got {runs}")
-    if engine not in ("auto", "batch", "reference"):
+    if engine not in ("auto", "reference"):
         raise ConfigurationError(f"unknown engine {engine!r}")
-    if algorithm.deterministic and (faults is None or faults.loss_probability == 0.0):
+    if trials_identical(algorithm, faults):
         runs = 1
     if timings is None and (metrics is not None or spans is not None):
         timings = Timings()

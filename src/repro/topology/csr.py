@@ -433,19 +433,28 @@ def _augment_to_connected(n, indptr, indices, depths, rng):
 
 
 def complete_layered_csr(
-    layer_sizes: Sequence[int], relabel_seed: int | None = None, r: int | None = None
+    layer_sizes: Sequence[int],
+    relabel_seed: int | None = None,
+    r: int | None = None,
+    allow_large: bool = False,
 ) -> CSRNetwork:
     """CSR counterpart of :func:`~repro.topology.layered.complete_layered`.
 
     Same layer structure, same ``relabel_seed`` permutation (the exact
     ``random.Random(relabel_seed).shuffle`` draw), so the generated
     network equals the networkx-path builder's node for node.
+
+    ``allow_large`` skips the footprint guard
+    (:func:`~repro.sim.guard.check_topology_budget`), which runs on the
+    exact edge count ``sum(s_j * s_{j+1})`` before anything is allocated.
     """
     if not layer_sizes or layer_sizes[0] != 1:
         raise ConfigurationError("layer_sizes[0] must be 1 (the source layer)")
     if any(size < 1 for size in layer_sizes):
         raise ConfigurationError("every layer must be non-empty")
     n = int(sum(layer_sizes))
+    edges = sum(int(a) * int(b) for a, b in zip(layer_sizes, layer_sizes[1:]))
+    check_topology_budget(n, edges, allow_large=allow_large)
     labels = list(range(n))
     if relabel_seed is not None:
         shuffle_rng = random.Random(relabel_seed)
@@ -488,24 +497,30 @@ def complete_layered_csr(
 
 
 def uniform_complete_layered_csr(
-    n: int, depth: int, relabel_seed: int | None = None
+    n: int, depth: int, relabel_seed: int | None = None, allow_large: bool = False
 ) -> CSRNetwork:
     """CSR counterpart of
-    :func:`~repro.topology.layered.uniform_complete_layered` (same sizes)."""
+    :func:`~repro.topology.layered.uniform_complete_layered` (same sizes;
+    ``allow_large`` as in :func:`complete_layered_csr`)."""
     if depth < 1 or n < depth + 1:
         raise ConfigurationError(f"need n >= depth + 1, got n={n}, depth={depth}")
     base = (n - 1) // depth
     sizes = [1] + [base] * (depth - 1)
     sizes.append(n - sum(sizes))
-    return complete_layered_csr(sizes, relabel_seed=relabel_seed)
+    return complete_layered_csr(
+        sizes, relabel_seed=relabel_seed, allow_large=allow_large
+    )
 
 
-def km_hard_layered_csr(n: int, depth: int, seed: int = 0) -> CSRNetwork:
+def km_hard_layered_csr(
+    n: int, depth: int, seed: int = 0, allow_large: bool = False
+) -> CSRNetwork:
     """CSR counterpart of :func:`~repro.topology.layered.km_hard_layered`.
 
     Reuses the exact layer-size draw sequence (``random.Random(seed)``)
     and relabel shuffle, so for any ``(n, depth, seed)`` the instance is
     the same hard network — only the representation differs.
+    ``allow_large`` as in :func:`complete_layered_csr`.
     """
     if depth < 1 or n < depth + 1:
         raise ConfigurationError(f"need n >= depth + 1, got n={n}, depth={depth}")
@@ -524,4 +539,4 @@ def km_hard_layered_csr(n: int, depth: int, seed: int = 0) -> CSRNetwork:
         remaining -= size
     if remaining > 0:
         sizes[-1] += remaining
-    return complete_layered_csr(sizes, relabel_seed=seed)
+    return complete_layered_csr(sizes, relabel_seed=seed, allow_large=allow_large)

@@ -15,6 +15,9 @@ adds what the matrix cannot express:
   batches settled before the first slot, batches settling *on* the
   first slot, and a zero step budget, all in exact parity with the
   serial engine.
+* **the run's return value** — out-of-step randomized classes, with and
+  without a budget that cuts trials short, return the longest serial
+  run's slot count.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.core import KnownRadiusKP, SelectAndSend
 from repro.baselines import RoundRobinBroadcast
 from repro.sim import BatchedEventEngine, FaultPlan, run_broadcast
 from repro.sim.errors import ConfigurationError, ProtocolViolationError
+from repro.sim.event import EventDrivenEngine
 from repro.sim.fast import run_broadcast_batch
 from repro.sim.trace import TraceLevel
 from repro.topology import gnp_connected, path, star
@@ -183,6 +187,37 @@ def test_zero_step_budget():
         assert not result.completed
         assert result.time == 0
         assert result.informed == 1
+
+
+@pytest.mark.parametrize("budget", [20, 24, 1000])
+def test_run_returns_the_longest_trial_advance(budget):
+    """Four randomized classes run out of step (KP on G(30, 0.15) takes
+    19, 21, 26 and 28 slots for seeds 3, 0, 2, 1).  Whether the budget
+    cuts some trials short or none, the batch returns the largest
+    slot count any serial run executed, and every trial ends as its
+    serial run did."""
+    net = gnp_connected(30, 0.15, seed=0)
+    algorithm = KnownRadiusKP(net.r, max(1, net.radius), stage_constant=4)
+    seeds = [0, 1, 2, 3]
+    executed = [
+        EventDrivenEngine(net, algorithm, seed=seed).run(budget) for seed in seeds
+    ]
+    serial = _serial_results(net, algorithm, seeds, max_steps=budget)
+    if budget < 1000:
+        assert any(r.completed for r in serial)
+        assert not all(r.completed for r in serial)
+
+    engine = BatchedEventEngine(net, algorithm, seeds=seeds)
+    assert engine.execution_classes == len(seeds)
+    assert engine.run(budget) == max(executed)
+
+    batched = run_broadcast_batch(
+        net, algorithm, seeds=seeds, engine="batched_event", max_steps=budget,
+    )
+    for from_batch, reference in zip(batched, serial):
+        assert from_batch.time == reference.time, reference.seed
+        assert from_batch.completed == reference.completed, reference.seed
+        assert from_batch.wake_times == reference.wake_times, reference.seed
 
 
 # ---------------------------------------------------------------------------

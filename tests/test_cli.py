@@ -73,6 +73,14 @@ def test_oversized_gnp_csr_rejected_before_sampling(monkeypatch):
               "--engine", "macro"])
 
 
+@pytest.mark.parametrize("topology", ["layered-csr", "km-layered-csr"])
+def test_oversized_layered_csr_rejected_before_building(topology, monkeypatch):
+    monkeypatch.delenv("REPRO_ALLOW_LARGE_MEMORY", raising=False)
+    with pytest.raises(SystemExit, match="topology failed: .* bytes"):
+        main(["run", "--topology", topology, "--n", "1000000", "--depth", "2",
+              "--algorithm", "kp-known-d", "--engine", "macro"])
+
+
 def test_unknown_algorithm_rejected():
     with pytest.raises(SystemExit):
         main(["run", "--topology", "path", "--n", "10", "--algorithm", "magic"])

@@ -4,6 +4,7 @@ equivalence with the legacy (dict-of-sets) layered builders."""
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,3 +290,41 @@ class TestGnpValidation:
         guard.check_topology_budget(10**7, 12 * 10**7 / 2)
         monkeypatch.setenv(guard.ALLOW_LARGE_ENV, "1")
         guard.check_topology_budget(10**7, edges)
+
+
+class TestLayeredGuard:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # [1, 99999, 100000]: ~10^10 edges, ~320 GB estimated.
+            lambda: uniform_complete_layered_csr(200_000, 2),
+            lambda: km_hard_layered_csr(10**6, 2, seed=0),
+            lambda: complete_layered_csr([1, 50_000, 50_000, 50_000]),
+        ],
+    )
+    def test_oversized_request_refused_before_allocating(self, build, monkeypatch):
+        monkeypatch.delenv(guard.ALLOW_LARGE_ENV, raising=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError) as info:
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"allocated {peak:,} bytes before refusing"
+        message = str(info.value)
+        assert "bytes" in message and "allow_large=True" in message
+        assert guard.ALLOW_LARGE_ENV in message
+
+    def test_exact_edge_count_and_override_reach_the_guard(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            csr_module, "check_topology_budget",
+            lambda n, edges, allow_large=False: calls.append((n, edges, allow_large)),
+        )
+        net = complete_layered_csr([1, 4, 9, 2], allow_large=True)
+        uniform_complete_layered_csr(13, 3, allow_large=True)
+        km_hard_layered_csr(40, 4, seed=2)
+        assert calls[0] == (16, 1 * 4 + 4 * 9 + 9 * 2, True)
+        assert calls[0][1] == net.num_edges
+        assert calls[1][2] is True and calls[2][2] is False
