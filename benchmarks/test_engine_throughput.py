@@ -49,7 +49,9 @@ def test_reference_engine_interactive_protocol(benchmark):
     oblivious workload.
     """
     net = gnp_connected(300, 0.03, seed=9)
-    result = benchmark(lambda: run_broadcast(net, SelectAndSend(), require_completion=True))
+    result = benchmark(lambda: run_broadcast(
+        net, SelectAndSend(), require_completion=True, engine="reference"
+    ))
     assert result.completed
 
 

@@ -22,7 +22,7 @@ import random
 import numpy as np
 
 from ..sim.errors import ConfigurationError
-from ..sim.network import RadioNetwork
+from ..sim.network import RadioNetwork, as_radio_network
 from ..sim.protocol import BroadcastAlgorithm, ObliviousTransmitter, Protocol
 
 __all__ = ["CentralizedGreedySchedule", "greedy_broadcast_schedule"]
@@ -33,8 +33,10 @@ def greedy_broadcast_schedule(network: RadioNetwork) -> list[frozenset[int]]:
 
     Returns:
         A list of transmitter sets, one per slot; replaying them under the
-        exactly-one collision rule informs every node.
+        exactly-one collision rule informs every node.  A CSR-native
+        topology converts first.
     """
+    network = as_radio_network(network)
     out = network.out_neighbors
     informed: set[int] = {network.source}
     schedule: list[frozenset[int]] = []

@@ -20,7 +20,7 @@ from typing import Any
 
 from ..sim.errors import ProtocolViolationError
 from ..sim.messages import Message
-from ..sim.network import RadioNetwork
+from ..sim.network import RadioNetwork, as_radio_network
 from ..sim.protocol import BroadcastAlgorithm, Protocol
 
 __all__ = ["KnownNeighborsDFS"]
@@ -95,12 +95,14 @@ class KnownNeighborsDFS(BroadcastAlgorithm):
     "knows its neighbourhood" assumption of [3].
 
     Args:
-        network: The topology the broadcast will run on.
+        network: The topology the broadcast will run on (a CSR-native
+            topology converts).
     """
 
     deterministic = True
 
     def __init__(self, network: RadioNetwork):
+        network = as_radio_network(network)
         self._neighbors = {v: tuple(network.out_neighbors[v]) for v in network.nodes}
         self.name = "dfs-known-neighbors"
 

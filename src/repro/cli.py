@@ -89,6 +89,8 @@ from .core import (
     SelectAndSend,
 )
 from .sim import RadioNetwork, TraceLevel, repeat_broadcast, run_broadcast
+from .sim.network import as_radio_network
+from .sim.run import ENGINE_CHOICES
 
 __all__ = ["main"]
 
@@ -194,10 +196,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         net = load_network(args.load_network)
     else:
         net = _build_topology(args)
-    if args.engine in ("reference", "event") and hasattr(net, "to_radio_network"):
-        # The per-node engines need adjacency dicts; CSR topologies are
-        # generated for the array paths and convert explicitly.
-        net = net.to_radio_network()
     algorithm = _build_algorithm(args.algorithm, net)
     level = TraceLevel.FULL if args.trace else TraceLevel.NONE
     faults = _load_fault_plan(args.faults) if args.faults else None
@@ -231,35 +229,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # run is `repro trace export`-able just like a sweep.
         spans = SpanRecorder(sink=_span_sink)
     try:
-        if args.engine == "macro":
-            from .sim.macro import run_broadcast_macro
-
-            result = run_broadcast_macro(
-                net, algorithm, seed=args.seed, trace_level=level,
-                faults=faults, metrics=metrics, spans=spans,
-                allow_large=args.allow_large,
-            )
-        elif args.engine == "fast":
-            from .sim.fast import run_broadcast_fast
-
-            result = run_broadcast_fast(
-                net, algorithm, seed=args.seed, trace_level=level,
-                faults=faults, metrics=metrics, spans=spans,
-                allow_large=args.allow_large,
-            )
-        else:
-            result = run_broadcast(
-                net, algorithm, seed=args.seed, trace_level=level,
-                faults=faults, metrics=metrics, spans=spans,
-                engine=args.engine, allow_large=args.allow_large,
-            )
+        result = run_broadcast(
+            net, algorithm, seed=args.seed, trace_level=level,
+            faults=faults, metrics=metrics, spans=spans,
+            engine=args.engine, allow_large=args.allow_large,
+        )
     except ConfigurationError as exc:
         raise SystemExit(f"run failed: {exc}")
     if runlog is not None:
         runlog.event(
             "run_completed",
             algorithm=result.algorithm,
-            engine=args.engine,
+            engine=result.engine,
             seed=result.seed,
             n=result.n,
             time=result.time,
@@ -287,8 +268,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if runlog is not None:
         print(f"run log written to {runlog.path}")
     if args.save_network:
-        to_save = net.to_radio_network() if hasattr(net, "to_radio_network") else net
-        save_network(to_save, args.save_network)
+        save_network(as_radio_network(net), args.save_network)
         print(f"network saved to {args.save_network}")
     if args.save_result:
         save_result(result, args.save_result)
@@ -608,17 +588,10 @@ def _cmd_explain_run(args: argparse.Namespace) -> int:
     net = _build_topology(args)
     algorithm = _build_algorithm(args.algorithm, net)
     try:
-        if args.engine == "fast":
-            from .sim.fast import run_broadcast_fast
-
-            result = run_broadcast_fast(
-                net, algorithm, seed=args.seed, trace_level=TraceLevel.FULL,
-            )
-        else:
-            result = run_broadcast(
-                net, algorithm, seed=args.seed, trace_level=TraceLevel.FULL,
-                engine=args.engine,
-            )
+        result = run_broadcast(
+            net, algorithm, seed=args.seed, trace_level=TraceLevel.FULL,
+            engine=args.engine,
+        )
     except ConfigurationError as exc:
         raise SystemExit(f"explain failed: {exc}")
     report = analyze(result, algorithm=algorithm)
@@ -902,11 +875,10 @@ def main(argv: list[str] | None = None) -> int:
     _add_topology_args(p_run)
     p_run.add_argument("--algorithm", default="kp", choices=ALGORITHM_CHOICES)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--engine", default="reference",
-                       choices=["reference", "event", "fast", "macro"],
+    p_run.add_argument("--engine", default="auto", choices=ENGINE_CHOICES,
                        help="execution engine (results are bit-identical; "
-                            "macro is the compiled multi-slot path for "
-                            "large n — see docs/PERFORMANCE.md)")
+                            "auto picks the fastest one that can run the "
+                            "algorithm — see docs/PERFORMANCE.md)")
     p_run.add_argument("--allow-large", action="store_true",
                        help="override the estimated-memory guard for FULL "
                             "traces / dense metrics / CSR topology "
@@ -1047,8 +1019,10 @@ def main(argv: list[str] | None = None) -> int:
     _add_topology_args(p_ex_run)
     p_ex_run.add_argument("--algorithm", default="kp", choices=ALGORITHM_CHOICES)
     p_ex_run.add_argument("--seed", type=int, default=0)
-    p_ex_run.add_argument("--engine", default="reference",
-                          choices=["reference", "event", "fast"],
+    # explain run always records a FULL trace, under which ``macro`` runs
+    # the one-trial batch that ``fast`` names, so only ``fast`` is offered.
+    p_ex_run.add_argument("--engine", default="auto",
+                          choices=[c for c in ENGINE_CHOICES if c != "macro"],
                           help="engine to record the trace on (forensic "
                                "output is bit-identical across engines)")
     p_ex_run.add_argument("--json", action="store_true",

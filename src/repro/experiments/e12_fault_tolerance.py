@@ -135,7 +135,10 @@ def run(quick: bool = False) -> ExperimentReport:
         net, bgi, trials=3, base_seed=0, max_steps=max_steps, faults=plan
     )
     for trial, seed in enumerate((0, 1, 2)):
-        ref = run_broadcast(net, bgi, seed=seed, max_steps=max_steps, faults=plan)
+        ref = run_broadcast(
+            net, bgi, seed=seed, max_steps=max_steps, faults=plan,
+            engine="reference",
+        )
         event = run_broadcast(
             net, bgi, seed=seed, max_steps=max_steps, faults=plan, engine="event"
         )

@@ -9,7 +9,7 @@ from __future__ import annotations
 from ..analysis import fit_constant, render_table, select_and_send_bound
 from ..baselines import KnownNeighborsDFS, RoundRobinBroadcast
 from ..core import SelectAndSend
-from ..sim import repeat_broadcast, run_broadcast
+from ..sim import run_broadcast
 from ..topology import gnp_connected, grid, path, random_tree
 from .base import ExperimentReport, register
 from .forensic_golden import add_forensic_golden
@@ -36,14 +36,8 @@ def run(quick: bool = False) -> ExperimentReport:
     rows, times, params = [], [], []
     for n in sizes:
         for family, net in _families(n).items():
-            # S&S is adaptive with exact idle hints: the batch path
-            # routes it through the batched event engine, reproducing
-            # the reference run bit for bit, faster (deterministic, so
-            # one run covers the Monte-Carlo estimate exactly).
-            (ss,) = repeat_broadcast(
-                net, SelectAndSend(), runs=1,
-                require_completion=True,
-            )
+            # Deterministic, so one run covers the estimate exactly.
+            ss = run_broadcast(net, SelectAndSend(), require_completion=True)
             dfs = run_broadcast(net, KnownNeighborsDFS(net), require_completion=True)
             rr = run_broadcast(net, RoundRobinBroadcast(net.r), require_completion=True)
             bound = select_and_send_bound(net.n, net.radius)

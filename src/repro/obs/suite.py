@@ -178,7 +178,7 @@ def _reference_engine(quick: bool):
     n, depth = (48, 8) if quick else (96, 16)
     net = km_hard_layered(n, depth, seed=3)
     algorithm = RoundRobinBroadcast(net.r)
-    return lambda: run_broadcast(net, algorithm, seed=1)
+    return lambda: run_broadcast(net, algorithm, seed=1, engine="reference")
 
 
 @register(

@@ -113,8 +113,8 @@ class BatchedEventEngine:
             the run the private registries are merged in with
             multiplicity = class size, so the shared registry holds
             exactly what ``T`` serial event-engine runs would have
-            recorded in aggregate (:meth:`run` merges them through
-            :meth:`flush_metrics`).
+            recorded in aggregate (:meth:`run` merges them once, which
+            is why an engine runs only once).
         timings: Optional :class:`~repro.obs.timings.Timings`, shared by
             the whole batch (stage costs are joint across trials).
         trace_level: Channel detail to record; collapsed trials share
@@ -154,7 +154,7 @@ class BatchedEventEngine:
         self.metrics = metrics
         self.timings = timings
         self._kernel = ChannelKernel(network)
-        self._metrics_flushed = False
+        self._ran = False
         self._classes: list[_ExecutionClass] = []
         for rep_seed, members in self._group_trials().items():
             private = MetricsRegistry() if metrics is not None else None
@@ -226,13 +226,25 @@ class BatchedEventEngine:
         error of the lowest aborted trial index is re-raised — the same
         error a serial seed-order loop would have surfaced first.
 
-        Returns the slots executed in this call: the largest advance of
-        any class (silent slots count, as on the serial engine).
+        Returns the slots executed: the largest advance of any class
+        (silent slots count, as on the serial engine).
+
+        One-shot: the class registries merge into the shared one once, so
+        a second call raises
+        :class:`~repro.sim.errors.ConfigurationError` instead of silently
+        recording nothing.
         """
         if max_steps < 0:
             raise ConfigurationError(
                 f"max_steps must be non-negative, got {max_steps}"
             )
+        if self._ran:
+            raise ConfigurationError(
+                "BatchedEventEngine.run was already called: the batch "
+                "merges its per-class metrics once, so it cannot resume; "
+                "build a new engine for another run"
+            )
+        self._ran = True
         executed = 0
         for cls in self._classes:
             if cls.error is not None:
@@ -244,7 +256,7 @@ class BatchedEventEngine:
             except ProtocolViolationError as exc:
                 cls.error = exc
             executed = max(executed, engine.step - start)
-        self.flush_metrics()
+        self._merge_metrics()
         first_failed = min(
             (cls for cls in self._classes if cls.error is not None),
             key=lambda cls: cls.members[0],
@@ -254,20 +266,17 @@ class BatchedEventEngine:
             raise first_failed.error
         return executed
 
-    def flush_metrics(self) -> None:
+    def _merge_metrics(self) -> None:
         """Merge each class's private registry into the shared one.
 
         Counters and histogram tallies are folded in with multiplicity =
         class size, so the shared registry equals the aggregate of ``T``
-        serial event-engine runs exactly.  One-shot: the class registries
-        keep accumulating, so a second merge would count them twice.
-        Batches of more than one trial also set
-        ``batch_active_trials`` to the current unsettled count, mirroring
-        the batched fast engine.
+        serial event-engine runs exactly.  Batches of more than one trial
+        also set ``batch_active_trials`` to the current unsettled count,
+        mirroring the batched fast engine.
         """
-        if self.metrics is None or self._metrics_flushed:
+        if self.metrics is None:
             return
-        self._metrics_flushed = True
         for cls in self._classes:
             self.metrics.merge(cls.metrics, weight=len(cls.members))
         if self.trials > 1:

@@ -569,19 +569,22 @@ def run_broadcast_fast(
         )
         if spans is not None
         else nullcontext()
-    ):
+    ) as trial:
         engine.run(max_steps)
+        if trial is not None:
+            trial.attrs["completed"] = engine.all_informed
     (result,) = _batch_results(
-        engine, network, algorithm, metrics, timings, engine.wake_steps
+        "fast", engine, network, algorithm, metrics, timings, engine.wake_steps
     )
     return result
 
 
 def _batch_results(
-    engine, network, algorithm, metrics, timings, wake_rows=None
+    name, engine, network, algorithm, metrics, timings, wake_rows=None
 ) -> list[BroadcastResult]:
     """One :class:`BroadcastResult` per trial of a finished batch engine.
 
+    ``name`` is reported as :attr:`~repro.sim.run.BroadcastResult.engine`;
     ``wake_rows`` is the engine's ``(trials, n)`` wake-slot array when it
     keeps one (the array fast path of the layer times).
     """
@@ -603,6 +606,7 @@ def _batch_results(
             trace=engine.trace_for(t),
             fault_counters=engine.fault_counters_for(t),
             timings=timings,
+            engine=name,
         )
         if metrics is not None:
             _record_result_metrics(metrics, result)
@@ -741,7 +745,8 @@ def run_broadcast_batch(
     with batch_span:
         engine.run(max_steps)
     return _batch_results(
-        engine, network, algorithm, metrics, timings, engine.wake_steps
+        "batched_fast", engine, network, algorithm, metrics, timings,
+        engine.wake_steps,
     )
 
 
@@ -760,4 +765,6 @@ def _run_batched_event(
         step_hooks=step_hooks,
     )
     engine.run(max_steps)
-    return _batch_results(engine, network, algorithm, metrics, timings)
+    return _batch_results(
+        "batched_event", engine, network, algorithm, metrics, timings
+    )

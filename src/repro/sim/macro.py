@@ -598,4 +598,5 @@ def run_broadcast_macro(
         trace=engine.trace,
         fault_counters=None,
         timings=None,
+        engine="macro",
     )

@@ -21,7 +21,16 @@ import networkx as nx
 
 from .errors import NetworkError
 
-__all__ = ["RadioNetwork"]
+__all__ = ["RadioNetwork", "as_radio_network"]
+
+
+def as_radio_network(network) -> "RadioNetwork":
+    """``network`` with adjacency dicts: CSR-native topologies
+    (:class:`~repro.topology.csr.CSRNetwork`) convert, anything else is
+    returned as is.  The per-node engines and the known-topology baselines
+    read ``out_neighbors`` and call this first."""
+    convert = getattr(network, "to_radio_network", None)
+    return convert() if convert is not None else network
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,7 +43,7 @@ TOPOLOGIES = [
 def test_progress_curves_identical_across_engines(make_net):
     net = make_net()
     for algorithm in _algorithms(net):
-        reference = run_broadcast(net, algorithm, seed=11)
+        reference = run_broadcast(net, algorithm, seed=11, engine="reference")
         fast = run_broadcast_fast(net, algorithm, seed=11)
         batched = run_broadcast_batch(net, algorithm, seeds=[11])[0]
         curve = progress_curve(reference)
@@ -56,7 +56,7 @@ def test_progress_curves_identical_across_engines(make_net):
 def test_milestones_and_front_speed_identical_across_engines(make_net):
     net = make_net()
     for algorithm in _algorithms(net):
-        reference = run_broadcast(net, algorithm, seed=3)
+        reference = run_broadcast(net, algorithm, seed=3, engine="reference")
         fast = run_broadcast_fast(net, algorithm, seed=3)
         batched = run_broadcast_batch(net, algorithm, seeds=[3])[0]
         marks = milestones(reference)

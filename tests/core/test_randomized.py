@@ -137,7 +137,10 @@ class TestOptimalRandomized:
         """Both engines implement the same schedule; compare mean times."""
         net = uniform_complete_layered(120, 6)
         algo = KnownRadiusKP(net.r, 6)
-        ref = [run_broadcast(net, algo, seed=s).time for s in range(8)]
+        ref = [
+            run_broadcast(net, algo, seed=s, engine="reference").time
+            for s in range(8)
+        ]
         fast = [run_broadcast_fast(net, algo, seed=s).time for s in range(8)]
         # Means within a factor of two of each other (loose but meaningful:
         # catches systematically wrong probabilities or eligibility).

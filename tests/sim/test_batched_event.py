@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import KnownRadiusKP, SelectAndSend
+from repro.obs.metrics import MetricsRegistry
 from repro.baselines import RoundRobinBroadcast
 from repro.sim import BatchedEventEngine, FaultPlan, run_broadcast
 from repro.sim.errors import ConfigurationError, ProtocolViolationError
@@ -260,3 +261,24 @@ def test_deterministic_lossless_batch_collapses_to_one_class():
     assert engine.all_informed
     # Per-trial accessors still answer for every trial.
     assert engine.completion_times().count(engine.completion_times()[0]) == 4
+
+
+def test_second_run_is_refused_with_its_cause():
+    """Per-class metrics merge into the shared registry once per batch, so
+    a batch cannot resume: after 10 slots a second ``run(100)`` raises
+    instead of silently recording nothing, and the registry keeps exactly
+    what the two 10-slot serial runs record."""
+    net = gnp_connected(30, 0.15, seed=0)
+    algorithm = KnownRadiusKP(net.r, max(1, net.radius), stage_constant=4)
+    serial = MetricsRegistry()
+    for seed in (0, 1):
+        EventDrivenEngine(net, algorithm, seed=seed, metrics=serial).run(10)
+    shared = MetricsRegistry()
+    engine = BatchedEventEngine(net, algorithm, seeds=[0, 1], metrics=shared)
+    assert engine.run(10) == 10
+    snapshot = shared.to_dict()
+    assert shared.counters["engine_slots"].value == 20
+    assert snapshot["counters"] == serial.to_dict()["counters"]
+    with pytest.raises(ConfigurationError, match="already called"):
+        engine.run(100)
+    assert shared.to_dict() == snapshot

@@ -34,7 +34,9 @@ def test_public_entry_points_agree(networks, topo, algo_name):
 
     batched = run_broadcast_batch(net, make(net), seeds=SEEDS)
     for seed, from_batch in zip(SEEDS, batched):
-        reference = run_broadcast(net, make(net), seed=seed)
+        reference = run_broadcast(
+            net, make(net), seed=seed, engine="reference"
+        )
         fast = run_broadcast_fast(net, make(net), seed=seed)
 
         assert reference.completed and fast.completed and from_batch.completed, (

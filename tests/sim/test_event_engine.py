@@ -71,6 +71,7 @@ def test_quiet_until_never_hides_an_action(case):
             faults=plan,
             require_completion=False,
             max_steps=3000,
+            engine="reference",
         )
     except ProtocolViolationError:
         # Echo is not fault-tolerant: a crash or jam mid-procedure can make
@@ -94,6 +95,7 @@ def test_quiet_until_never_hides_an_action_layered(n, depth, relabel_seed):
         net,
         HintCheckedAlgorithm(CompleteLayeredBroadcast()),
         require_completion=True,
+        engine="reference",
     )
 
 

@@ -109,7 +109,7 @@ def test_cross_engine_equivalence_round_robin(make_net):
     """Round-robin is deterministic: both engines must agree exactly."""
     net = make_net()
     algo = RoundRobinBroadcast(net.r)
-    ref = run_broadcast(net, algo)
+    ref = run_broadcast(net, algo, engine="reference")
     fast = run_broadcast_fast(net, algo)
     assert ref.completed and fast.completed
     assert ref.time == fast.time
@@ -119,7 +119,7 @@ def test_cross_engine_equivalence_round_robin(make_net):
 def test_cross_engine_equivalence_selective_family():
     net = gnp_connected(20, 0.3, seed=2)
     algo = SelectiveFamilyBroadcast(net.r, "random", seed=4)
-    ref = run_broadcast(net, algo)
+    ref = run_broadcast(net, algo, engine="reference")
     fast = run_broadcast_fast(net, algo)
     assert ref.time == fast.time
     assert ref.wake_times == fast.wake_times
@@ -151,7 +151,8 @@ def test_cross_engine_property_random_trees(n, seed):
     edges = [(i, rng.randrange(i)) for i in range(1, n)]
     net = RadioNetwork.undirected(range(n), edges)
     algo = RoundRobinBroadcast(net.r)
-    assert run_broadcast(net, algo).time == run_broadcast_fast(net, algo).time
+    reference = run_broadcast(net, algo, engine="reference")
+    assert reference.time == run_broadcast_fast(net, algo).time
 
 
 def test_batched_engine_rejects_a_mask_that_does_not_fit_the_batch():

@@ -86,7 +86,7 @@ def test_crashed_node_partitions_path():
     net = path(8)
     result = run_broadcast(
         net, RoundRobinBroadcast(net.r), faults=FaultPlan(crashes=((4, 0),)),
-        max_steps=2000,
+        max_steps=2000, engine="reference",
     )
     assert not result.completed
     assert set(result.wake_times) == {0, 1, 2, 3}
@@ -96,13 +96,16 @@ def test_crashed_node_partitions_path():
 def test_crash_mid_run_freezes_the_node():
     """A node that crashes after waking stops relaying onward."""
     net = path(6)
-    pristine = run_broadcast(net, RoundRobinBroadcast(net.r), max_steps=2000)
+    pristine = run_broadcast(
+        net, RoundRobinBroadcast(net.r), max_steps=2000, engine="reference"
+    )
     crash_slot = pristine.wake_times[3] + 1
     result = run_broadcast(
         net,
         RoundRobinBroadcast(net.r),
         faults=FaultPlan(crashes=((3, crash_slot),)),
         max_steps=2000,
+        engine="reference",
     )
     # Node 3 was informed before its crash, but died before its
     # round-robin slot, so node 4 never hears the message.
@@ -112,7 +115,9 @@ def test_crash_mid_run_freezes_the_node():
 def test_jam_window_suppresses_and_counts():
     net = star(6)  # source 0 transmits in slot 0 and wakes every leaf
     plan = FaultPlan(jams=((0, 2), (1, 2)))
-    result = run_broadcast(net, RoundRobinBroadcast(net.r), faults=plan)
+    result = run_broadcast(
+        net, RoundRobinBroadcast(net.r), faults=plan, engine="reference"
+    )
     assert result.completed
     assert result.wake_times[2] > 1  # jammed through its first chances
     assert all(result.wake_times[leaf] == 0 for leaf in (1, 3, 4, 5))
@@ -124,7 +129,8 @@ def test_loss_certain_blocks_everything():
     net = path(4)
     plan = FaultPlan(loss_probability=1.0)
     result = run_broadcast(
-        net, RoundRobinBroadcast(net.r), faults=plan, max_steps=50
+        net, RoundRobinBroadcast(net.r), faults=plan, max_steps=50,
+        engine="reference",
     )
     assert result.informed == 1  # only the source
     assert result.fault_counters.lost_messages > 0
@@ -134,8 +140,12 @@ def test_loss_streams_differ_per_run_seed():
     net = gnp_connected(16, 0.4, seed=2)
     plan = FaultPlan(loss_probability=0.5, seed=9)
     algo = RoundRobinBroadcast(net.r)
-    a = run_broadcast(net, algo, seed=0, faults=plan, max_steps=5000)
-    b = run_broadcast(net, algo, seed=1, faults=plan, max_steps=5000)
+    a = run_broadcast(
+        net, algo, seed=0, faults=plan, max_steps=5000, engine="reference"
+    )
+    b = run_broadcast(
+        net, algo, seed=1, faults=plan, max_steps=5000, engine="reference"
+    )
     # Deterministic algorithm, same plan: any divergence comes from the
     # per-run loss realisation.
     assert a.wake_times != b.wake_times
@@ -144,7 +154,9 @@ def test_loss_streams_differ_per_run_seed():
 def test_wake_delay_defers_and_counts():
     net = star(5)
     plan = FaultPlan(wake_delays=((2, 4),))
-    result = run_broadcast(net, RoundRobinBroadcast(net.r), faults=plan)
+    result = run_broadcast(
+        net, RoundRobinBroadcast(net.r), faults=plan, engine="reference"
+    )
     assert result.completed
     assert result.wake_times[2] >= 4
     assert result.fault_counters.delayed_wakes >= 1
@@ -154,8 +166,10 @@ def test_wake_delay_defers_and_counts():
 def test_empty_plan_is_inert_but_counted():
     net = gnp_connected(12, 0.4, seed=1)
     algo = BGIBroadcast(net.r)
-    pristine = run_broadcast(net, algo, seed=3)
-    inert = run_broadcast(net, algo, seed=3, faults=FaultPlan())
+    pristine = run_broadcast(net, algo, seed=3, engine="reference")
+    inert = run_broadcast(
+        net, algo, seed=3, faults=FaultPlan(), engine="reference"
+    )
     assert pristine.wake_times == inert.wake_times
     assert pristine.fault_counters is None
     assert inert.fault_counters == FaultCounters()

@@ -36,9 +36,10 @@ class TestResultsUnchanged:
     def test_reference_engine(self):
         net = _net()
         algorithm = BGIBroadcast(net.r)
-        plain = run_broadcast(net, algorithm, seed=SEED)
+        plain = run_broadcast(net, algorithm, seed=SEED, engine="reference")
         instrumented = run_broadcast(net, algorithm, seed=SEED,
-                                     metrics=MetricsRegistry())
+                                     metrics=MetricsRegistry(),
+                                     engine="reference")
         assert _result_key(instrumented) == _result_key(plain)
         assert plain.timings is None
         assert instrumented.timings is not None
@@ -75,7 +76,7 @@ class TestCounterParity:
         net = make_net()
         algorithm = RoundRobinBroadcast(net.r)
         ref, fast = MetricsRegistry(), MetricsRegistry()
-        run_broadcast(net, algorithm, seed=SEED, metrics=ref)
+        run_broadcast(net, algorithm, seed=SEED, metrics=ref, engine="reference")
         run_broadcast_fast(net, algorithm, seed=SEED, metrics=fast)
         assert fast.to_dict() == ref.to_dict()
 
@@ -85,7 +86,8 @@ class TestCounterParity:
         seeds = [5, 6, 7]
         serial, batched = MetricsRegistry(), MetricsRegistry()
         for seed in seeds:
-            run_broadcast(net, algorithm, seed=seed, metrics=serial)
+            run_broadcast(net, algorithm, seed=seed, metrics=serial,
+                          engine="reference")
         run_broadcast_batch(net, algorithm, seeds=seeds, metrics=batched)
         # Counters and histograms must tally identically even though the
         # batched engine buffers its collision observations and flushes
@@ -194,7 +196,7 @@ class TestTimings:
         net = path(8)
         metrics = MetricsRegistry()
         result = run_broadcast(net, RoundRobinBroadcast(net.r), seed=0,
-                               metrics=metrics)
+                               metrics=metrics, engine="reference")
         stages = set(result.timings.stages)
         assert {"engine.actions", "engine.channel", "engine.step"} <= stages
         assert result.timings.count("engine.step") == result.time
